@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssor_core::sample::{all_pairs, alpha_sample};
 use ssor_core::weak::{sample_multiset, weak_route};
-use ssor_engine::sampling::par_alpha_sample;
 use ssor_engine::{DemandSpec, PathSystemCache, Pipeline, StreamModel, TemplateSpec, TopologySpec};
 use ssor_flow::rounding::round_routing;
 use ssor_flow::solver::{min_congestion_restricted, min_congestion_unrestricted, SolveOptions};
@@ -125,12 +124,8 @@ fn bench_edge_loads() {
 fn bench_sampling() {
     let valiant = ValiantRouting::new(6);
     let pairs = all_pairs(64);
-    let mut rng = StdRng::seed_from_u64(3);
-    bench("sampling", "alpha4_sequential_hypercube6", 20, || {
-        alpha_sample(&valiant, &pairs, 4, &mut rng)
-    });
-    bench("sampling", "alpha4_parallel_hypercube6", 20, || {
-        par_alpha_sample(&valiant, &pairs, 4, 3)
+    bench("sampling", "alpha4_hypercube6", 20, || {
+        alpha_sample(&valiant, &pairs, 4, 3)
     });
 }
 
@@ -202,7 +197,7 @@ fn bench_solvers() {
     let valiant = ValiantRouting::new(6);
     let d = Demand::hypercube_bit_reversal(6);
     let mut rng = StdRng::seed_from_u64(4);
-    let ps = alpha_sample(&valiant, &d.support(), 4, &mut rng);
+    let ps = alpha_sample(&valiant, &d.support(), 4, 4);
     let opts = SolveOptions::with_eps(0.1);
     bench("solvers", "restricted_mwu_hypercube6_alpha4", 10, || {
         min_congestion_restricted(valiant.graph(), &d, ps.candidates(), &opts)
@@ -249,7 +244,7 @@ fn bench_rounding_and_sim() {
     let d = Demand::hypercube_complement(5);
     let valiant = ValiantRouting::new(5);
     let mut rng = StdRng::seed_from_u64(5);
-    let ps = alpha_sample(&valiant, &d.support(), 4, &mut rng);
+    let ps = alpha_sample(&valiant, &d.support(), 4, 5);
     let sol = min_congestion_restricted(&q5, &d, ps.candidates(), &SolveOptions::with_eps(0.1));
     bench("rounding_sim", "round_lemma63_hypercube5", 20, || {
         round_routing(&q5, &sol.routing, &d, 8, &mut rng)
@@ -281,7 +276,7 @@ fn bench_paper_machinery() {
     let valiant = ValiantRouting::new(5);
     let d = Demand::hypercube_complement(5);
     let mut rng = StdRng::seed_from_u64(6);
-    let ms = sample_multiset(&valiant, &d.support(), |_, _| 4, &mut rng);
+    let ms = sample_multiset(&valiant, &d.support(), 4, 6);
     bench("paper", "weak_route_hypercube5_alpha4", 10, || {
         weak_route(valiant.graph(), &ms, &d, 8.0)
     });

@@ -34,7 +34,7 @@ struct Row {
     build_wall_ms: f64,
 }
 
-fn mean_ratio<O: ObliviousRouting + ?Sized>(
+fn mean_ratio<O: ObliviousRouting + Sync + ?Sized>(
     base: &O,
     g: &Graph,
     demands: &[Demand],
@@ -42,11 +42,10 @@ fn mean_ratio<O: ObliviousRouting + ?Sized>(
     opts: &SolveOptions,
     seed: u64,
 ) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
     let ratios: Vec<f64> = demands
         .iter()
         .map(|d| {
-            let ps = sample::alpha_sample(base, &d.support(), alpha, &mut rng);
+            let ps = sample::alpha_sample(base, &d.support(), alpha, seed);
             let router = SemiObliviousRouter::new(g.clone(), ps);
             let semi = router.route_fractional(d, opts).congestion;
             let opt = min_congestion_unrestricted(g, d, opts);
@@ -57,15 +56,16 @@ fn mean_ratio<O: ObliviousRouting + ?Sized>(
 }
 
 /// Builds each of the six templates on `g`, timing construction.
-fn build_schemes(g: &Graph) -> Vec<(&'static str, Box<dyn ObliviousRouting>, f64)> {
-    let mut out: Vec<(&'static str, Box<dyn ObliviousRouting>, f64)> = Vec::new();
-    let timed = |name: &'static str,
-                 build: &mut dyn FnMut() -> Box<dyn ObliviousRouting>,
-                 out: &mut Vec<(&'static str, Box<dyn ObliviousRouting>, f64)>| {
-        let t0 = Instant::now();
-        let routing = build();
-        out.push((name, routing, t0.elapsed().as_secs_f64() * 1e3));
-    };
+fn build_schemes(g: &Graph) -> Vec<(&'static str, Box<dyn ObliviousRouting + Sync>, f64)> {
+    let mut out: Vec<(&'static str, Box<dyn ObliviousRouting + Sync>, f64)> = Vec::new();
+    let timed =
+        |name: &'static str,
+         build: &mut dyn FnMut() -> Box<dyn ObliviousRouting + Sync>,
+         out: &mut Vec<(&'static str, Box<dyn ObliviousRouting + Sync>, f64)>| {
+            let t0 = Instant::now();
+            let routing = build();
+            out.push((name, routing, t0.elapsed().as_secs_f64() * 1e3));
+        };
     timed(
         "Räcke MWU (12 trees)",
         &mut || {

@@ -6,8 +6,6 @@
 //! gap and the iteration count trade off, and confirms against exact LP
 //! solves that the certificates are honest.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 use ssor_bench::{banner, f3, Table};
 use ssor_core::sample::alpha_sample;
@@ -37,8 +35,7 @@ fn main() {
     let dim = 5u32;
     let valiant = ValiantRouting::new(dim);
     let d = Demand::hypercube_bit_reversal(dim);
-    let mut rng = StdRng::seed_from_u64(12);
-    let ps = alpha_sample(&valiant, &d.support(), 4, &mut rng);
+    let ps = alpha_sample(&valiant, &d.support(), 4, 12);
     println!("instance: hypercube n = 32, bit-reversal demand, α = 4 sample\n");
 
     let mut table = Table::new(&[
@@ -94,7 +91,7 @@ fn main() {
     println!("\n-- exact simplex cross-check (hypercube n = 8, complement demand) --");
     let small = ValiantRouting::new(3);
     let ds = Demand::hypercube_complement(3);
-    let pss = alpha_sample(&small, &ds.support(), 3, &mut rng);
+    let pss = alpha_sample(&small, &ds.support(), 3, 12);
     let exact =
         exact_restricted_congestion(small.graph(), &ds, pss.candidates()).expect("feasible LP");
     let fw = min_congestion_restricted(

@@ -48,7 +48,6 @@ fn main() {
     let mut rows = Vec::new();
     for landmarks in [2usize, 8, 24] {
         for stretch in [1.5f64, 3.0, 6.0] {
-            let mut rng = StdRng::seed_from_u64(14);
             let router = CompletionTimeRouter::build(
                 &g,
                 &d.support(),
@@ -60,7 +59,7 @@ fn main() {
                         hop_stretch: stretch,
                     },
                 },
-                &mut rng,
+                14,
             );
             let route = router.route(&d, &opts);
             table.row(&[

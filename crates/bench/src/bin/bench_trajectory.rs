@@ -161,7 +161,7 @@ fn solver_group(smoke: bool) -> Vec<Bench<'static>> {
     let valiant = ValiantRouting::new(dim);
     let d = Demand::hypercube_bit_reversal(dim);
     let mut rng = StdRng::seed_from_u64(4);
-    let ps = alpha_sample(&valiant, &d.support(), 4, &mut rng);
+    let ps = alpha_sample(&valiant, &d.support(), 4, 4);
     let opts = SolveOptions::with_eps(0.1);
     let q = generators::hypercube(dim);
     let dbig = Demand::random_permutation(perm, &mut rng);

@@ -6,8 +6,6 @@
 //! selection deterministic-and-oblivious but pick `O(log n)` paths (a
 //! derandomizable sample), then adapt rates.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 use ssor_bench::{banner, f3, Table};
 use ssor_core::chernoff::theorem_2_3_alpha;
@@ -60,8 +58,7 @@ fn main() {
         }
         for (name, d) in demands {
             let det = bitfix.congestion(&d);
-            let mut rng = StdRng::seed_from_u64(500 + dim as u64);
-            let ps = sample::alpha_sample(&valiant, &d.support(), alpha, &mut rng);
+            let ps = sample::alpha_sample(&valiant, &d.support(), alpha, 500 + dim as u64);
             let router = SemiObliviousRouter::new(valiant.graph().clone(), ps);
             let sol = router.route_fractional(&d, &opts);
             let rep = router.competitive_report(&d, &opts);

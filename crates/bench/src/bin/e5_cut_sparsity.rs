@@ -8,8 +8,6 @@
 //! `(α + cut)`-samples are fine. Also exercises the special-demand
 //! bucketing of Lemma 5.9 on the same instance.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 use ssor_bench::{banner, f3, fx, Table};
 use ssor_core::sample::{alpha_cut_sample, alpha_sample};
@@ -54,10 +52,9 @@ fn main() {
         let t = (2 * size - 1) as u32;
         let d = Demand::from_pairs(&[(s, t)]);
         let ksp = KspRouting::new(&g, bridges + alpha + 2);
-        let mut rng = StdRng::seed_from_u64(600 + bridges as u64);
 
-        let plain = alpha_sample(&ksp, &[(s, t)], alpha, &mut rng);
-        let cutful = alpha_cut_sample(&ksp, &g, &[(s, t)], alpha, &mut rng);
+        let plain = alpha_sample(&ksp, &[(s, t)], alpha, 600 + bridges as u64);
+        let cutful = alpha_cut_sample(&ksp, &g, &[(s, t)], alpha, 600 + bridges as u64);
 
         let r1 = SemiObliviousRouter::new(g.clone(), plain).competitive_report(&d, &opts);
         let r2 = SemiObliviousRouter::new(g.clone(), cutful).competitive_report(&d, &opts);

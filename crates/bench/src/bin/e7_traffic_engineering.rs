@@ -86,7 +86,7 @@ fn main() {
 
     // Semi-oblivious Räcke samples at several α.
     for alpha in [1usize, 2, 4, 8] {
-        let ps = alpha_sample(&raecke, &pairs, alpha, &mut rng);
+        let ps = alpha_sample(&raecke, &pairs, alpha, 800);
         let reports = evaluate_snapshots(&wan, &ps, &snapshots, &opts);
         let ratios: Vec<f64> = reports.iter().map(|r| r.ratio).collect();
         let cover = failure_coverage(&wan, &ps, &snapshots[0], &opts);
@@ -109,7 +109,7 @@ fn main() {
 
     // KSP-4 baseline (deterministic candidate set).
     {
-        let ps = alpha_sample(&ksp, &pairs, 4, &mut rng);
+        let ps = alpha_sample(&ksp, &pairs, 4, 800);
         let reports = evaluate_snapshots(&wan, &ps, &snapshots, &opts);
         let ratios: Vec<f64> = reports.iter().map(|r| r.ratio).collect();
         let cover = failure_coverage(&wan, &ps, &snapshots[0], &opts);
@@ -161,7 +161,7 @@ fn main() {
     // ("a small snapshot of the global traffic every 15 seconds").
     println!("\n-- staleness drill: rates from snapshot t-1 applied to snapshot t (α = 4) --");
     {
-        let ps = alpha_sample(&raecke, &pairs, 4, &mut rng);
+        let ps = alpha_sample(&raecke, &pairs, 4, 800);
         let stale = ssor_te::evaluate_with_stale_rates(&wan, &ps, &snapshots, &opts);
         let pens: Vec<f64> = stale.iter().map(|r| r.staleness_penalty).collect();
         println!(

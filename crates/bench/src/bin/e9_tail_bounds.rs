@@ -7,8 +7,6 @@
 //! the quantity Lemma 5.6 bounds by `m^{-(h+3)|supp(d)|}`. Also runs the
 //! full Lemma 5.8 weak→strong pipeline end to end.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 use ssor_bench::{banner, f3, Table};
 use ssor_core::special::{process_weak_router, weak_to_strong};
@@ -58,8 +56,12 @@ fn main() {
             let mut frac_sum = 0.0;
             let mut over_sum = 0usize;
             for seed in 0..trials {
-                let mut rng = StdRng::seed_from_u64(1000 + seed as u64 * 17 + alpha as u64);
-                let ms = sample_multiset(&valiant, &d.support(), |_, _| alpha, &mut rng);
+                let ms = sample_multiset(
+                    &valiant,
+                    &d.support(),
+                    alpha,
+                    1000 + seed as u64 * 17 + alpha as u64,
+                );
                 let out = weak_route(valiant.graph(), &ms, &d, gamma);
                 verify_lemma_5_10(valiant.graph(), &d, &out).expect("Lemma 5.10 invariants");
                 if out.succeeded() {
@@ -93,8 +95,7 @@ fn main() {
 
     // End-to-end Lemma 5.8 weak -> strong run.
     println!("-- Lemma 5.8 weak-to-strong pipeline (α = 5, γ = 10) --");
-    let mut rng = StdRng::seed_from_u64(4242);
-    let ms = sample_multiset(&valiant, &d.support(), |_, _| 5, &mut rng);
+    let ms = sample_multiset(&valiant, &d.support(), 5, 4242);
     let mut ps = PathSystem::new();
     for paths in ms.values() {
         for p in paths {

@@ -10,10 +10,11 @@
 
 use crate::path_system::PathSystem;
 use crate::sample::alpha_sample;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use ssor_flow::solver::{min_congestion_restricted, SolveOptions};
 use ssor_flow::{Demand, Routing};
-use ssor_graph::{Graph, VertexId};
+use ssor_graph::{derive_seed, Graph, VertexId};
 use ssor_oblivious::{HopConstrainedRouting, HopOptions};
 
 /// How the hop scales grow between levels.
@@ -86,15 +87,17 @@ impl CompletionRoute {
 
 impl CompletionTimeRouter {
     /// Builds the ladder: hop-constrained routing + `α`-sample per scale.
+    /// The routings draw their landmarks from one `seed`-keyed stream;
+    /// scale `i` samples under `derive_seed(seed, i)`.
     ///
     /// # Panics
     ///
     /// Panics if the graph is disconnected or `pairs` is empty.
-    pub fn build<R: Rng>(
+    pub fn build(
         g: &Graph,
         pairs: &[(VertexId, VertexId)],
         opts: &CompletionOptions,
-        rng: &mut R,
+        seed: u64,
     ) -> Self {
         assert!(!pairs.is_empty());
         let n = g.n() as f64;
@@ -113,9 +116,10 @@ impl CompletionTimeRouter {
 
         let mut per_scale = Vec::with_capacity(scales.len());
         let mut union = PathSystem::new();
-        for &h in &scales {
-            let hop_routing = HopConstrainedRouting::build(g, h, &opts.hop, rng);
-            let ps = alpha_sample(&hop_routing, pairs, opts.alpha, rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (i, &h) in scales.iter().enumerate() {
+            let hop_routing = HopConstrainedRouting::build(g, h, &opts.hop, &mut rng);
+            let ps = alpha_sample(&hop_routing, pairs, opts.alpha, derive_seed(seed, i as u64));
             union = union.union(&ps);
             per_scale.push(ps);
         }
@@ -180,16 +184,13 @@ impl CompletionTimeRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use ssor_graph::generators;
 
     #[test]
     fn ladder_reaches_the_diameter() {
         let g = generators::ring(16);
         let pairs = vec![(0u32, 8u32), (1, 9)];
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = CompletionTimeRouter::build(&g, &pairs, &Default::default(), &mut rng);
+        let r = CompletionTimeRouter::build(&g, &pairs, &Default::default(), 1);
         assert_eq!(r.scales()[0], 1);
         assert!(
             *r.scales().last().unwrap() >= 8,
@@ -204,8 +205,7 @@ mod tests {
     fn poly_growth_uses_fewer_scales() {
         let g = generators::ring(32);
         let pairs = vec![(0u32, 16u32)];
-        let mut rng = StdRng::seed_from_u64(2);
-        let log = CompletionTimeRouter::build(&g, &pairs, &Default::default(), &mut rng);
+        let log = CompletionTimeRouter::build(&g, &pairs, &Default::default(), 2);
         let poly = CompletionTimeRouter::build(
             &g,
             &pairs,
@@ -213,7 +213,7 @@ mod tests {
                 growth: ScaleGrowth::Poly { alpha: 1 },
                 ..Default::default()
             },
-            &mut rng,
+            2,
         );
         assert!(poly.scales().len() <= log.scales().len());
     }
@@ -223,12 +223,11 @@ mod tests {
         let g = generators::hypercube(4);
         let d = Demand::hypercube_complement(4);
         let pairs = d.support();
-        let mut rng = StdRng::seed_from_u64(3);
         let opts = CompletionOptions {
             alpha: 3,
             ..Default::default()
         };
-        let r = CompletionTimeRouter::build(&g, &pairs, &opts, &mut rng);
+        let r = CompletionTimeRouter::build(&g, &pairs, &opts, 3);
         assert!(
             r.path_system().sparsity() <= 3 * r.scales().len(),
             "union sparsity {} vs bound {}",
@@ -244,8 +243,7 @@ mod tests {
         let g = generators::barbell(5, 4);
         let d = Demand::from_pairs(&[(0, 1), (2, 3)]);
         let pairs = d.support();
-        let mut rng = StdRng::seed_from_u64(4);
-        let r = CompletionTimeRouter::build(&g, &pairs, &Default::default(), &mut rng);
+        let r = CompletionTimeRouter::build(&g, &pairs, &Default::default(), 4);
         let out = r.route(&d, &SolveOptions::default());
         assert!(
             out.dilation <= 4,
@@ -261,8 +259,7 @@ mod tests {
         // scale must accommodate that.
         let g = generators::ring(12);
         let d = Demand::from_pairs(&[(0, 6)]);
-        let mut rng = StdRng::seed_from_u64(5);
-        let r = CompletionTimeRouter::build(&g, &d.support(), &Default::default(), &mut rng);
+        let r = CompletionTimeRouter::build(&g, &d.support(), &Default::default(), 5);
         let out = r.route(&d, &SolveOptions::default());
         assert!(out.dilation >= 6);
         assert!(out.congestion <= 1.0 + 1e-9);

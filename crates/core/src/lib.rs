@@ -33,12 +33,10 @@
 //! use ssor_core::{sample, SemiObliviousRouter};
 //! use ssor_flow::Demand;
 //! use ssor_oblivious::{ObliviousRouting, ValiantRouting};
-//! use rand::SeedableRng;
 //!
 //! // Stage 1-2: graph + sparse path system (4 Valiant samples per pair).
 //! let oblivious = ValiantRouting::new(4);
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let paths = sample::alpha_sample(&oblivious, &sample::all_pairs(16), 4, &mut rng);
+//! let paths = sample::alpha_sample(&oblivious, &sample::all_pairs(16), 4, 42);
 //! let router = SemiObliviousRouter::new(oblivious.graph().clone(), paths);
 //!
 //! // Stage 3-5: demand revealed, rates adapt, congestion compared to OPT.

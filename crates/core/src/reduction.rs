@@ -13,7 +13,7 @@
 
 use crate::path_system::PathSystem;
 use crate::sample::alpha_cut_sample;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 use ssor_graph::{EdgeId, Graph, Path, VertexId};
 use ssor_oblivious::ObliviousRouting;
 
@@ -158,17 +158,17 @@ impl<O: ObliviousRouting + ?Sized> ObliviousRouting for AuxRouting<'_, O> {
 /// # Panics
 ///
 /// Panics if `alpha < 2` (the corollary assumes `α >= 2`).
-pub fn alpha_sample_via_reduction<O: ObliviousRouting + ?Sized, R: Rng>(
+pub fn alpha_sample_via_reduction<O: ObliviousRouting + Sync + ?Sized>(
     base: &O,
     g: &Graph,
     pairs: &[(VertexId, VertexId)],
     alpha: usize,
-    rng: &mut R,
+    seed: u64,
 ) -> PathSystem {
     assert!(alpha >= 2, "Corollary 6.2 assumes alpha >= 2");
     let aux = AuxGraph::build(g, pairs);
     let routing = AuxRouting::new(&aux, base);
-    let sampled = alpha_cut_sample(&routing, &aux.graph, &aux.aux_pairs, alpha - 1, rng);
+    let sampled = alpha_cut_sample(&routing, &aux.graph, &aux.aux_pairs, alpha - 1, seed);
     let mut out = PathSystem::new();
     for (a, b) in aux.aux_pairs.iter().copied() {
         if let Some(paths) = sampled.paths(a, b) {
@@ -184,8 +184,6 @@ pub fn alpha_sample_via_reduction<O: ObliviousRouting + ?Sized, R: Rng>(
 mod tests {
     use super::*;
     use crate::sample::{all_pairs, alpha_sample};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use ssor_graph::maxflow::min_cut_value;
     use ssor_oblivious::ValiantRouting;
 
@@ -211,8 +209,7 @@ mod tests {
         let g = r.graph().clone();
         let pairs = all_pairs(8);
         let alpha = 4;
-        let mut rng1 = StdRng::seed_from_u64(1);
-        let via = alpha_sample_via_reduction(&r, &g, &pairs, alpha, &mut rng1);
+        let via = alpha_sample_via_reduction(&r, &g, &pairs, alpha, 1);
         assert!(via.is_valid(&g));
         assert!(via.sparsity() <= alpha, "(α-1) + cut(=1) = α draws");
         // Every mapped-back path is in the base support.
@@ -227,8 +224,7 @@ mod tests {
             }
         }
         // Same sparsity profile as a direct sample (same number of draws).
-        let mut rng2 = StdRng::seed_from_u64(1);
-        let direct = alpha_sample(&r, &pairs, alpha, &mut rng2);
+        let direct = alpha_sample(&r, &pairs, alpha, 1);
         assert_eq!(via.len(), direct.len());
     }
 
@@ -251,7 +247,6 @@ mod tests {
     fn rejects_alpha_one() {
         let r = ValiantRouting::new(2);
         let g = r.graph().clone();
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = alpha_sample_via_reduction(&r, &g, &[(0, 3)], 1, &mut rng);
+        let _ = alpha_sample_via_reduction(&r, &g, &[(0, 3)], 1, 0);
     }
 }

@@ -25,11 +25,9 @@ use ssor_graph::Graph;
 /// use ssor_core::{sample::alpha_sample, sample::all_pairs, SemiObliviousRouter};
 /// use ssor_flow::Demand;
 /// use ssor_oblivious::{ObliviousRouting, ValiantRouting};
-/// use rand::SeedableRng;
 ///
 /// let r = ValiantRouting::new(3);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let ps = alpha_sample(&r, &all_pairs(8), 4, &mut rng);
+/// let ps = alpha_sample(&r, &all_pairs(8), 4, 7);
 /// let router = SemiObliviousRouter::new(r.graph().clone(), ps);
 /// let d = Demand::hypercube_complement(3);
 /// let sol = router.route_fractional(&d, &Default::default());
@@ -180,8 +178,7 @@ mod tests {
     #[test]
     fn sparse_sample_covers_and_routes() {
         let r = ValiantRouting::new(4);
-        let mut rng = StdRng::seed_from_u64(5);
-        let ps = alpha_sample(&r, &all_pairs(16), 4, &mut rng);
+        let ps = alpha_sample(&r, &all_pairs(16), 4, 5);
         let router = SemiObliviousRouter::new(r.graph().clone(), ps);
         let d = Demand::hypercube_bit_reversal(4);
         assert!(router.covers(&d));
@@ -200,7 +197,7 @@ mod tests {
     fn integral_route_is_integral_and_bounded() {
         let r = ValiantRouting::new(3);
         let mut rng = StdRng::seed_from_u64(6);
-        let ps = alpha_sample(&r, &all_pairs(8), 4, &mut rng);
+        let ps = alpha_sample(&r, &all_pairs(8), 4, 6);
         let router = SemiObliviousRouter::new(r.graph().clone(), ps);
         let d = Demand::hypercube_complement(3);
         let out = router.route_integral(&d, &SolveOptions::default(), &mut rng);

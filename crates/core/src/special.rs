@@ -222,8 +222,6 @@ pub fn process_weak_router<'a>(
 mod tests {
     use super::*;
     use crate::weak::sample_multiset;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use ssor_graph::generators;
     use ssor_oblivious::{ObliviousRouting, ValiantRouting};
 
@@ -272,8 +270,7 @@ mod tests {
         let r = ValiantRouting::new(dim);
         let d = Demand::hypercube_complement(dim);
         let pairs = d.support();
-        let mut rng = StdRng::seed_from_u64(11);
-        let samples = sample_multiset(&r, &pairs, |_, _| 6, &mut rng);
+        let samples = sample_multiset(&r, &pairs, 6, 11);
         // Build the PathSystem view for the arbitrary-path fallback.
         let mut ps = PathSystem::new();
         for paths in samples.values() {

@@ -11,7 +11,7 @@
 //! Running this process for real (experiment E9) lets us *measure* the
 //! failure probability and the deletion patterns the proof reasons about.
 
-use rand::Rng;
+use crate::sample::draw;
 use ssor_flow::{Demand, Routing};
 use ssor_graph::{Graph, Path, VertexId};
 use ssor_oblivious::ObliviousRouting;
@@ -22,19 +22,31 @@ use std::collections::BTreeMap;
 /// (the `X(s,t)_{i,p}` variables of Section 5.3).
 pub type SampleMultiset = BTreeMap<(VertexId, VertexId), Vec<Path>>;
 
-/// Draws `count(s, t)` paths per pair, *keeping* duplicates.
-pub fn sample_multiset<O: ObliviousRouting + ?Sized, R: Rng>(
+/// Draws `alpha` paths per pair, *keeping* duplicates: the same
+/// per-pair streams as [`crate::sample::alpha_sample`] at the same seed,
+/// which is this multiset with duplicates collapsed.
+///
+/// # Panics
+///
+/// Panics if `alpha == 0` or some pair has `s == t`.
+pub fn sample_multiset<O: ObliviousRouting + Sync + ?Sized>(
     routing: &O,
     pairs: &[(VertexId, VertexId)],
-    mut count: impl FnMut(VertexId, VertexId) -> usize,
-    rng: &mut R,
+    alpha: usize,
+    seed: u64,
 ) -> SampleMultiset {
     let mut out = SampleMultiset::new();
-    for &(s, t) in pairs {
-        let c = count(s, t);
-        assert!(c >= 1, "need at least one sample per pair");
-        let paths = (0..c).map(|_| routing.sample_path(s, t, rng)).collect();
-        out.insert((s, t), paths);
+    for mut partial in draw(
+        routing,
+        pairs,
+        alpha,
+        seed,
+        |_, _| alpha,
+        |m: &mut SampleMultiset, pair, paths| {
+            m.insert(pair, paths);
+        },
+    ) {
+        out.append(&mut partial);
     }
     out
 }
@@ -188,8 +200,6 @@ pub fn verify_lemma_5_10(g: &Graph, d: &Demand, out: &WeakRouteResult) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use ssor_oblivious::ValiantRouting;
 
     fn complement_setup(
@@ -200,8 +210,7 @@ mod tests {
         let r = ValiantRouting::new(dim);
         let d = Demand::hypercube_complement(dim);
         let pairs = d.support();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let samples = sample_multiset(&r, &pairs, |_, _| alpha, &mut rng);
+        let samples = sample_multiset(&r, &pairs, alpha, seed);
         (r, samples, d)
     }
 
@@ -268,10 +277,9 @@ mod tests {
     #[test]
     fn sample_multiset_keeps_duplicates() {
         let r = ValiantRouting::new(2);
-        let mut rng = StdRng::seed_from_u64(4);
         // 20 samples over a support of at most ~4 distinct paths must
         // contain duplicates.
-        let ms = sample_multiset(&r, &[(0, 3)], |_, _| 20, &mut rng);
+        let ms = sample_multiset(&r, &[(0, 3)], 20, 4);
         assert_eq!(ms[&(0, 3)].len(), 20);
     }
 }

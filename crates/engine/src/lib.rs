@@ -12,7 +12,8 @@
 //! 2. **Template** — build an oblivious routing over it ([`TemplateSpec`]
 //!    → any `ssor_oblivious::ObliviousRouting`);
 //! 3. **Sample** — draw `α` paths per pair (Definition 5.2), *in parallel
-//!    across pairs* ([`sampling::par_alpha_sample`]) and *memoized* by
+//!    across pairs* (`ssor_core::sample::alpha_sample`, re-exported as
+//!    [`sampling::par_alpha_sample`]) and *memoized* by
 //!    `(topology, template, α, seed)` ([`PathSystemCache`]);
 //! 4. **Adapt** — reveal a demand and optimize the rates within the
 //!    candidates (`ssor_core::SemiObliviousRouter`), *in parallel across

@@ -10,14 +10,13 @@
 use crate::cache::{
     OptBounds, PathSystemCache, SharedTemplate, TemplateBuildStats, TemplateBuilder,
 };
-use crate::sampling::{mix, par_alpha_sample};
 use crate::spec::{DemandSpec, ResolveCtx, StreamModel, TemplateSpec, TopologySpec};
 use crate::stream::{FailureSweepReport, FailureTrial, StreamReport, StreamStep};
 use crate::sweep::{self, SweepOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssor_core::completion::{CompletionOptions, CompletionTimeRouter, ScaleGrowth};
-use ssor_core::sample::all_pairs;
+use ssor_core::sample::{all_pairs, alpha_sample};
 use ssor_core::{PathSystem, SemiObliviousRouter};
 use ssor_flow::oracle::CandidateOracle;
 use ssor_flow::rounding::round_routing;
@@ -26,6 +25,7 @@ use ssor_flow::solver::{
     Solver,
 };
 use ssor_flow::{Demand, SolveOptions};
+use ssor_graph::generators::mix_seed;
 use ssor_graph::{derive_seed, par_ordered_map, EdgeId, Graph, SubTopology};
 use ssor_lowerbound::graphs::CGraphMeta;
 use ssor_sim::{simulate_routing, SimConfig};
@@ -470,7 +470,7 @@ impl Pipeline {
                     self.seed,
                     || {
                         let n = graph_and_meta.0.n();
-                        Arc::new(par_alpha_sample(
+                        Arc::new(alpha_sample(
                             template.as_ref(),
                             &all_pairs(n),
                             self.alpha,
@@ -501,10 +501,9 @@ impl Pipeline {
                     growth,
                     ..Default::default()
                 };
-                let mut rng = StdRng::seed_from_u64(self.seed);
                 let n = graph_and_meta.0.n();
                 let comp =
-                    CompletionTimeRouter::build(&graph_and_meta.0, &all_pairs(n), &opts, &mut rng);
+                    CompletionTimeRouter::build(&graph_and_meta.0, &all_pairs(n), &opts, self.seed);
                 let paths = Arc::new(comp.path_system().clone());
                 PreparedPipeline {
                     pipeline: self.clone(),
@@ -873,7 +872,7 @@ impl Pipeline {
             // and collide them). `derive_seed(m, i)` expands to
             // `mix(mix(m) ^ i)` — byte-identical to the derivation this
             // replaced, so historical failure draws are preserved.
-            let trial_master = self.seed ^ FAILURE_STREAM_TAG ^ mix(trial as u64);
+            let trial_master = self.seed ^ FAILURE_STREAM_TAG ^ mix_seed(trial as u64);
             let mut rng = StdRng::seed_from_u64(derive_seed(trial_master, attempt as u64));
             // Partial Fisher–Yates: k distinct edge ids.
             let mut ids: Vec<EdgeId> = (0..m as EdgeId).collect();

@@ -21,7 +21,7 @@
 //! workers; results are merged back **in source-index order** and
 //! interned serially, so the returned ids, costs, and the arena's
 //! interning order are bit-identical to a serial sweep at any worker
-//! count — the same discipline as the engine's `par_alpha_sample`.
+//! count — the same discipline as `ssor_core::sample::alpha_sample`.
 //! Small batches skip the fan-out entirely (the shim spawns threads per
 //! call, which only amortizes over enough Dijkstra work); the cutoff
 //! affects wall-clock only, never results.

@@ -6,10 +6,10 @@
 //! batches (the vendored rayon shim spawns threads per call, which only
 //! amortizes over enough work). [`par_ordered_map`] is that shape,
 //! written once — the batch tree sweeps, the solver oracles, the FRT
-//! ensemble samplers, the Räcke load blocks, and the engine's template
-//! ensembles dispatch through it. (Stages with a different shape —
-//! `par_alpha_sample`'s chunked partial merge, `EdgeLoads::par_merge`'s
-//! fixed edge-range reduction — keep their own specialized dispatch.)
+//! ensemble samplers, the Räcke load blocks, the α-sampler's fixed pair
+//! blocks, and the engine's template ensembles dispatch through it.
+//! (`EdgeLoads::par_merge`'s fixed edge-range reduction has a different
+//! shape and keeps its own specialized dispatch.)
 
 use crate::generators::mix_seed;
 use rayon::prelude::*;

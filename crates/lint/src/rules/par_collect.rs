@@ -18,13 +18,12 @@
 //!
 //! **Rule.** The adapters `.par_iter()`, `.par_iter_mut()`,
 //! `.into_par_iter()`, `.par_bridge()`, and `.par_chunks(` may appear
-//! only in `crates/graph/src/par.rs`. The two specialized dispatches
-//! the par.rs docs name (`EdgeLoads::par_merge`'s fixed edge-range
-//! reduction, `par_alpha_sample`'s chunked partial merge) carry
-//! `// lint: allow(par_collect)` at their single fan-out line each —
-//! the annotation marks exactly where a human verified the merge
-//! order, and any new site must either ride the primitives or earn
-//! the same review.
+//! only in `crates/graph/src/par.rs`. The one specialized dispatch the
+//! par.rs docs name (`EdgeLoads::par_merge`'s fixed edge-range
+//! reduction) carries `// lint: allow(par_collect)` at its single
+//! fan-out line — the annotation marks exactly where a human verified
+//! the merge order, and any new site must either ride the primitives
+//! or earn the same review.
 
 use super::{Diagnostic, FileClass};
 use crate::scanner::SourceFile;

@@ -232,8 +232,6 @@ pub fn certify_hitting(paths: &PathSystem, result: &AdversaryResult) -> Result<(
 mod tests {
     use super::*;
     use crate::graphs::{c_graph, k_for_alpha};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use ssor_core::sample::alpha_sample;
     use ssor_oblivious::KspRouting;
 
@@ -251,8 +249,7 @@ mod tests {
             .iter()
             .flat_map(|&s| meta.right_leaves.iter().map(move |&t| (s, t)))
             .collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        alpha_sample(&r, &pairs, alpha, &mut rng)
+        alpha_sample(&r, &pairs, alpha, seed)
     }
 
     #[test]

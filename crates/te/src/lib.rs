@@ -386,7 +386,7 @@ mod tests {
         let snaps: Vec<Demand> = (0..3).map(|t| model.snapshot(t, 24, &mut rng)).collect();
         let raecke = RaeckeRouting::build(&wan.graph, &Default::default(), &mut rng);
         let pairs = snaps[0].support();
-        let ps = alpha_sample(&raecke, &pairs, 4, &mut rng);
+        let ps = alpha_sample(&raecke, &pairs, 4, 5);
         let reports = evaluate_snapshots(&wan, &ps, &snaps, &SolveOptions::with_eps(0.1));
         assert_eq!(reports.len(), 3);
         for r in &reports {
@@ -406,7 +406,7 @@ mod tests {
         let model = GravityModel::sample(wan.n(), 25.0, &mut rng);
         let snaps: Vec<Demand> = (0..4).map(|t| model.snapshot(t, 24, &mut rng)).collect();
         let raecke = RaeckeRouting::build(&wan.graph, &Default::default(), &mut rng);
-        let ps = alpha_sample(&raecke, &snaps[0].support(), 4, &mut rng);
+        let ps = alpha_sample(&raecke, &snaps[0].support(), 4, 9);
         let reports = evaluate_with_stale_rates(&wan, &ps, &snaps, &SolveOptions::with_eps(0.1));
         assert_eq!(reports.len(), 3);
         for r in &reports {
@@ -430,7 +430,7 @@ mod tests {
         let ksp = KspRouting::new(&wan.graph, 6);
         let model = GravityModel::sample(wan.n(), 20.0, &mut rng);
         let d = model.snapshot(0, 24, &mut rng);
-        let ps = alpha_sample(&ksp, &d.support(), 4, &mut rng);
+        let ps = alpha_sample(&ksp, &d.support(), 4, 7);
         // Every link can be drilled: the reported stranded mass must be
         // exactly the demand on pairs the damaged graph disconnects
         // (0.0 while the WAN stays whole) — no panics either way.

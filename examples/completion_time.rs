@@ -32,8 +32,7 @@ fn main() {
     println!("demand: {} pairs, siz(d) = {}", d.support_len(), d.size());
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-    let router =
-        CompletionTimeRouter::build(&g, &d.support(), &CompletionOptions::default(), &mut rng);
+    let router = CompletionTimeRouter::build(&g, &d.support(), &CompletionOptions::default(), 31);
     println!(
         "hop-scale ladder: {:?}; union sparsity {}",
         router.scales(),

@@ -5,7 +5,6 @@
 //!
 //! Run with: `cargo run --release --example lower_bound`
 
-use rand::SeedableRng;
 use ssor::core::sample::alpha_sample;
 use ssor::flow::solver::{min_congestion_restricted, SolveOptions};
 use ssor::lowerbound::{
@@ -31,8 +30,7 @@ fn main() {
         .flat_map(|&s| meta.right_leaves.iter().map(move |&t| (s, t)))
         .collect();
     let ksp = KspRouting::new(&g, alpha.max(2));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(88);
-    let paths = alpha_sample(&ksp, &pairs, alpha, &mut rng);
+    let paths = alpha_sample(&ksp, &pairs, alpha, 88);
     println!(
         "installed an α = {alpha} sparse system over all {} cross pairs",
         pairs.len()

@@ -31,7 +31,7 @@ fn main() {
     // (exactly SMORE's path selection).
     let raecke = RaeckeRouting::build(&wan.graph, &RaeckeOptions::default(), &mut rng);
     let pairs = snapshots[0].support();
-    let paths = alpha_sample(&raecke, &pairs, 4, &mut rng);
+    let paths = alpha_sample(&raecke, &pairs, 4, 18);
     println!(
         "installed candidate paths: sparsity {} over {} pairs\n",
         paths.sparsity(),

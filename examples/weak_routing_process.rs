@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example weak_routing_process`
 
-use rand::SeedableRng;
 use ssor::core::special::{process_weak_router, weak_to_strong};
 use ssor::core::weak::{sample_multiset, verify_lemma_5_10, weak_route};
 use ssor::core::PathSystem;
@@ -22,8 +21,7 @@ fn main() {
     );
 
     let alpha = 5;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(53);
-    let samples = sample_multiset(&valiant, &d.support(), |_, _| alpha, &mut rng);
+    let samples = sample_multiset(&valiant, &d.support(), alpha, 53);
     println!("sampled α = {alpha} candidate paths per pair (multiplicities kept)\n");
 
     println!(

@@ -45,14 +45,12 @@
 //! use ssor::core::{sample, SemiObliviousRouter};
 //! use ssor::flow::Demand;
 //! use ssor::oblivious::{ObliviousRouting, ValiantRouting};
-//! use rand::SeedableRng;
 //!
 //! // 1. An oblivious routing on the 4-dimensional hypercube.
 //! let oblivious = ValiantRouting::new(4);
 //!
 //! // 2. Sample α = 4 candidate paths per pair (the SMORE sweet spot).
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let paths = sample::alpha_sample(&oblivious, &sample::all_pairs(16), 4, &mut rng);
+//! let paths = sample::alpha_sample(&oblivious, &sample::all_pairs(16), 4, 0);
 //!
 //! // 3. Demand arrives; rates adapt optimally within the candidates.
 //! let router = SemiObliviousRouter::new(oblivious.graph().clone(), paths);

@@ -1,6 +1,6 @@
 //! Thread-count invariance of the engine pipeline.
 //!
-//! The parallel stages — `par_alpha_sample`'s chunked sampling and the
+//! The parallel stages — the α-sampler's fixed pair blocks and the
 //! fixed-block `EdgeLoads::par_merge` load reduction — promise results
 //! that are a deterministic function of the pipeline spec alone,
 //! *identical at any rayon worker count*. This test pins that guarantee:
@@ -16,6 +16,7 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
+use ssor::core::sample::{all_pairs, alpha_sample};
 use ssor::core::PathSystem;
 use ssor::engine::{DynamicReport, PathSystemCache, Pipeline, ScenarioSpec, StreamModel};
 use ssor::flow::solver::{min_congestion_masked, min_congestion_unrestricted, DemandDelta, Solver};
@@ -24,7 +25,7 @@ use ssor::graph::generators;
 use ssor::graph::Graph;
 use ssor::oblivious::{
     frt::sample_tree_routings_seeded, ElectricalRouting, Metric, ObliviousRouting, RaeckeOptions,
-    RaeckeRouting, RandomWalkRouting,
+    RaeckeRouting, RandomWalkRouting, ValiantRouting,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -85,7 +86,7 @@ fn assert_invariant(pipeline: &Pipeline, label: &str) {
 #[test]
 fn engine_results_are_thread_count_invariant() {
     let _guard = env_lock();
-    // Hypercube adversary: exercises par_alpha_sample over all 240
+    // Hypercube adversary: exercises the α-sampler over all 240
     // ordered pairs of Q4 plus the restricted + unrestricted solves.
     let hypercube = ScenarioSpec::HypercubeAdversarial { dim: 4 }
         .pipeline()
@@ -108,6 +109,26 @@ fn engine_results_are_thread_count_invariant() {
     .solve_options(SolveOptions::with_eps(0.15))
     .without_opt();
     assert_invariant(&gravity, "gravity-wan");
+}
+
+#[test]
+fn alpha_sampler_is_thread_count_invariant() {
+    let _guard = env_lock();
+    // All ordered pairs of Q6 span eight fixed pair blocks, so the
+    // sampler's fan-out runs at 2 and 8 threads.
+    let valiant = ValiantRouting::new(6);
+    let pairs = all_pairs(64);
+    let at = |threads: usize| {
+        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+        assert_eq!(rayon::current_num_threads(), threads);
+        let ps = alpha_sample(&valiant, &pairs, 3, 11);
+        std::env::remove_var("RAYON_NUM_THREADS");
+        ps
+    };
+    let one = at(1);
+    for threads in [2usize, 8] {
+        assert_eq!(one, at(threads), "α-sample differs at {threads} threads");
+    }
 }
 
 /// A dynamic scenario reduced to comparable bits: per-record congestion

@@ -16,10 +16,9 @@ fn diversity_survives_single_edge_failure() {
     let dim = 4;
     let valiant = ValiantRouting::new(dim);
     let d = Demand::hypercube_complement(dim);
-    let mut rng = StdRng::seed_from_u64(2);
 
     for (alpha, min_coverage) in [(1usize, 0.5), (4, 0.9)] {
-        let mut ps = sample::alpha_sample(&valiant, &d.support(), alpha, &mut rng);
+        let mut ps = sample::alpha_sample(&valiant, &d.support(), alpha, 2);
         let before = ps.len();
         // Fail the busiest edge of the sample.
         let mut use_count = vec![0usize; valiant.graph().m()];
@@ -77,7 +76,7 @@ fn reprovision_after_graph_edge_removal() {
     assert!(damaged.is_connected());
 
     let raecke = RaeckeRouting::build(&damaged, &Default::default(), &mut rng);
-    let ps = sample::alpha_sample(&raecke, &d.support(), 4, &mut rng);
+    let ps = sample::alpha_sample(&raecke, &d.support(), 4, 3);
     let router = SemiObliviousRouter::new(damaged.clone(), ps);
     assert!(router.covers(&d));
     let rep = router.competitive_report(&d, &SolveOptions::with_eps(0.08));
@@ -89,8 +88,7 @@ fn reprovision_after_graph_edge_removal() {
 fn remove_paths_through_is_exhaustive() {
     let valiant = ValiantRouting::new(4);
     let d = Demand::hypercube_bit_reversal(4);
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut ps = sample::alpha_sample(&valiant, &d.support(), 6, &mut rng);
+    let mut ps = sample::alpha_sample(&valiant, &d.support(), 6, 5);
     for dead in [0u32, 7, 13] {
         ps.remove_paths_through(dead);
         for (s, t) in ps.pairs().collect::<Vec<_>>() {
