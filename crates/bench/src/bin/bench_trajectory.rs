@@ -2,7 +2,10 @@
 //! medians are written to `BENCH_pipeline.json`, `BENCH_solver.json`,
 //! `BENCH_templates.json`, `BENCH_serve.json`, and `BENCH_lint.json`
 //! **at the repo root** each PR, so the perf trajectory between PRs is
-//! a recorded number instead of a guess.
+//! a recorded number instead of a guess. This is the workspace's one
+//! offline timing loop: the library crates read no clock for timing
+//! (the solver's oracle split aside), so every stage number here is
+//! measured from outside.
 //!
 //! Contract (see README "Perf trajectory"):
 //!
@@ -12,7 +15,8 @@
 //!   round), so ambient machine noise spreads evenly across benches
 //!   instead of biasing whichever ran last;
 //! * the recorded statistic is the **median** of an odd number of
-//!   rounds, with min/max kept for spread.
+//!   rounds, with min/max kept for spread;
+//! * every record carries `cores`, the machine fact needed to read it.
 //!
 //! `--smoke` swaps in tiny specs (seconds, for CI liveness + JSON-shape
 //! checking); the committed records always come from a full run:
@@ -22,14 +26,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use ssor_bench::{save_json_at_root, Table};
-use ssor_core::sample::alpha_sample;
-use ssor_engine::{DemandSpec, PathSystemCache, Pipeline, TemplateSpec, TopologySpec};
+use ssor_core::sample::{all_pairs, alpha_sample};
+use ssor_engine::{DemandSpec, PathSystemCache, Pipeline, StreamModel, TemplateSpec, TopologySpec};
 use ssor_flow::solver::{
     min_congestion_masked, min_congestion_restricted, min_congestion_unrestricted,
 };
 use ssor_flow::{Demand, SolveOptions};
 use ssor_graph::generators;
-use ssor_oblivious::frt::{FrtTree, Metric};
+use ssor_oblivious::frt::{sample_tree_routings_seeded, FrtTree, Metric};
 use ssor_oblivious::{
     ElectricalRouting, ObliviousRouting, RaeckeOptions, RaeckeRouting, RandomWalkRouting,
     ValiantRouting,
@@ -54,7 +58,13 @@ struct BenchGroup {
     group: String,
     mode: String,
     rounds: usize,
+    cores: usize,
     benches: Vec<BenchRow>,
+}
+
+/// Worker cores visible to this process — stamped into every record.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 type Bench<'a> = (String, Box<dyn FnMut() + 'a>);
@@ -97,12 +107,14 @@ fn run_group(group: &str, mode: &str, rounds: usize, mut benches: Vec<Bench<'_>>
             format!("{:.1?}", std::time::Duration::from_nanos(r.max_ns)),
         ]);
     }
-    println!("\n== {group} ({mode}, {rounds} interleaved rounds) ==");
+    let cores = cores();
+    println!("\n== {group} ({mode}, {rounds} interleaved rounds, {cores} core(s)) ==");
     table.print();
     let record = BenchGroup {
         group: group.to_string(),
         mode: mode.to_string(),
         rounds,
+        cores,
         benches: rows,
     };
     match save_json_at_root(&format!("BENCH_{group}"), &record) {
@@ -133,6 +145,34 @@ fn pipeline_group(smoke: bool) -> Vec<Bench<'static>> {
     let sweep_cache = PathSystemCache::new();
     sweep.prepare(&sweep_cache);
     let trials = if smoke { 2 } else { 4 };
+    // Stage 3 alone: all-pairs α-sampling of the Valiant template.
+    let valiant = ValiantRouting::new(dim);
+    let pairs = all_pairs(1 << dim);
+    // A diurnal gravity stream over a Waxman WAN, solved warm (each step
+    // restarts from the previous flow) and cold (every step from
+    // scratch). Both share one prepared path system, so the pair
+    // isolates the solver work the warm start saves; the per-step cold
+    // quality oracle is off (`without_opt`) to keep them comparable.
+    let (wan_n, steps) = if smoke { (12, 4) } else { (24, 20) };
+    let stream = Pipeline::on(TopologySpec::Waxman {
+        n: wan_n,
+        a: 0.4.into(),
+        b: 0.25.into(),
+        seed: 5,
+    })
+    .alpha(4)
+    .seed(5)
+    .solve_options(SolveOptions::with_eps(0.1))
+    .without_opt();
+    let model = StreamModel::DiurnalGravity {
+        total: 30.0.into(),
+        period: 8,
+        seed: 9,
+    };
+    let stream_cache = PathSystemCache::new();
+    stream.prepare(&stream_cache);
+    let warm_stream = Arc::new((stream, model, stream_cache));
+    let cold_stream = Arc::clone(&warm_stream);
     vec![
         (
             format!("pipeline_cold_hypercube{dim}_alpha4"),
@@ -150,6 +190,26 @@ fn pipeline_group(smoke: bool) -> Vec<Bench<'static>> {
             format!("failure_sweep_hypercube{sweep_dim}_k2_t{trials}"),
             Box::new(move || {
                 sweep.failure_sweep(&sweep_cache, 2, trials);
+            }),
+        ),
+        (
+            format!("sampling_alpha4_hypercube{dim}"),
+            Box::new(move || {
+                alpha_sample(&valiant, &pairs, 4, 3);
+            }),
+        ),
+        (
+            format!("stream_warm_{steps}step_diurnal_wan{wan_n}_alpha4"),
+            Box::new(move || {
+                let (stream, model, cache) = &*warm_stream;
+                stream.stream(cache, steps, model);
+            }),
+        ),
+        (
+            format!("stream_cold_{steps}step_diurnal_wan{wan_n}_alpha4"),
+            Box::new(move || {
+                let (stream, model, cache) = &*cold_stream;
+                stream.stream_cold(cache, steps, model);
             }),
         ),
     ]
@@ -219,6 +279,10 @@ fn templates_group(smoke: bool) -> Vec<Bench<'static>> {
     let grid_rw = big.clone();
     let (wan, _, _) = generators::waxman_connected(wax_n, wax_a, wax_b, 1, 4);
     let sources: Vec<u32> = (0..wax_sources as u32).collect();
+    // Seeded FRT ensemble on the SMORE-style Waxman WAN: independent
+    // trees fanned out over workers.
+    let (ens_n, ens_trees) = if smoke { (16, 4) } else { (64, 12) };
+    let (ens_wan, _, _) = generators::waxman_connected(ens_n, 0.4, 0.25, 7, 16);
     vec![
         (
             format!("raecke_build_grid{r_rows}x{r_rows}_{iters}trees"),
@@ -237,6 +301,12 @@ fn templates_group(smoke: bool) -> Vec<Bench<'static>> {
             format!("frt_sample_grid{f_rows}x{f_rows}"),
             Box::new(move || {
                 FrtTree::sample_seeded(&metric, n, 1);
+            }),
+        ),
+        (
+            format!("frt_ensemble_{ens_trees}trees_waxman{ens_n}"),
+            Box::new(move || {
+                sample_tree_routings_seeded(&ens_wan, ens_trees, 3);
             }),
         ),
         (
@@ -274,6 +344,15 @@ struct ServeRow {
     lookups_per_sec: f64,
 }
 
+/// Modeled numbers, kept apart from the observed rows: nothing in here
+/// was measured as a throughput.
+#[derive(Serialize)]
+struct ServeModel {
+    /// Each of the 8 round-robin shard slices timed by itself on one
+    /// snapshot, and the implied rates summed.
+    isolated_shard_rate_sum_8: f64,
+}
+
 #[derive(Serialize)]
 struct ServeGroup {
     group: String,
@@ -283,7 +362,7 @@ struct ServeGroup {
     queries_per_batch: usize,
     alpha: usize,
     benches: Vec<ServeRow>,
-    isolated_shard_rate_sum_8: f64,
+    model: ServeModel,
 }
 
 /// The serving-plane group gets its own runner: the `under_swaps`
@@ -293,11 +372,12 @@ struct ServeGroup {
 ///
 /// All timings are honest wall numbers on whatever `cores` reports — on
 /// a 1-core box the shards time-slice, so the per-shard-count rows mostly
-/// measure sharding overhead. `isolated_shard_rate_sum_8` is the labeled
-/// multi-core headroom estimate: each of the 8 round-robin shard slices
-/// timed by itself on the same snapshot, and the implied rates summed
-/// (what 8 genuinely parallel cores would sustain, shard independence
-/// being exact — shards share nothing but the immutable snapshot).
+/// measure sharding overhead. `model.isolated_shard_rate_sum_8` is a
+/// multi-core headroom *model*, not an observed throughput: each of the
+/// 8 round-robin shard slices timed by itself on the same snapshot, and
+/// the implied rates summed (what 8 genuinely parallel cores would
+/// sustain, shard independence being exact — shards share nothing but
+/// the immutable snapshot).
 fn run_serve_group(smoke: bool) {
     let (side, trees, path_alpha, q) = if smoke {
         (3usize, 2usize, 2usize, 256u64)
@@ -381,7 +461,7 @@ fn run_serve_group(smoke: bool) {
         })
         .sum();
 
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cores = cores();
     let mut table_out = Table::new(&["bench", "median", "lookups/s"]);
     for r in &rows {
         table_out.row(&[
@@ -392,7 +472,7 @@ fn run_serve_group(smoke: bool) {
     }
     println!("\n== serve ({mode}, {rounds} rounds, {cores} core(s), {q} queries/batch) ==");
     table_out.print();
-    println!("   isolated 8-shard rate sum (multi-core headroom): {isolated_shard_rate_sum_8:.0} lookups/s");
+    println!("   model: isolated 8-shard rate sum (multi-core headroom): {isolated_shard_rate_sum_8:.0} lookups/s");
     let record = ServeGroup {
         group: "serve".to_string(),
         mode: mode.to_string(),
@@ -401,7 +481,9 @@ fn run_serve_group(smoke: bool) {
         queries_per_batch: q as usize,
         alpha: ALPHA,
         benches: rows,
-        isolated_shard_rate_sum_8,
+        model: ServeModel {
+            isolated_shard_rate_sum_8,
+        },
     };
     match save_json_at_root("BENCH_serve", &record) {
         Some(p) => println!("-> {}", p.display()),

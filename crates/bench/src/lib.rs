@@ -1,11 +1,12 @@
 //! # ssor-bench
 //!
-//! Shared harness for the experiment regenerators (E1–E9, one binary per
-//! paper result; see `DESIGN.md` §4 and `EXPERIMENTS.md`) and the
-//! Criterion benches.
+//! Shared harness for the experiment regenerators (E1–E9 and A1–A3, one
+//! binary per paper result or ablation) and the `bench_trajectory` perf
+//! harness.
 //!
 //! Each experiment binary prints an aligned "paper vs measured" table and
-//! writes a machine-readable JSON record under `results/`.
+//! writes a machine-readable JSON record under `results/`;
+//! `bench_trajectory` writes the `BENCH_*.json` records at the repo root.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

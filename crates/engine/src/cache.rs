@@ -11,11 +11,10 @@
 use crate::spec::{DemandSpec, TemplateSpec, TopologySpec};
 use ssor_core::PathSystem;
 use ssor_lowerbound::graphs::CGraphMeta;
-use ssor_oblivious::{ObliviousRouting, TemplateStageStats};
+use ssor_oblivious::ObliviousRouting;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// A shared oblivious-routing template.
 pub type SharedTemplate = Arc<dyn ObliviousRouting + Send + Sync>;
@@ -311,7 +310,7 @@ impl PathSystemCache {
 
     /// [`PathSystemCache::template`] plus whether the atomic cache
     /// lookup answered it (`true` = shared, no construction ran on this
-    /// thread) — the flag [`TemplateBuilder`] reports as `cached`.
+    /// thread) — the flag [`TemplateBuilder::build`] returns.
     fn template_with_hit(
         &self,
         topo: &TopologySpec,
@@ -444,51 +443,8 @@ impl PathSystemCache {
     }
 }
 
-/// What one template construction cost, as observed by a
-/// [`TemplateBuilder`]: total wall-clock, whether the cache answered it
-/// (a *shared* template — e.g. the intact-topology template every
-/// failure-sweep trial re-routes against), and, for templates that track
-/// them, the per-stage split ([`TemplateStageStats`]) showing how much of
-/// the build ran on the rayon-parallel stages.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TemplateBuildStats {
-    /// Wall-clock of the (possibly cache-answered) build.
-    pub wall: Duration,
-    /// `true` when the cache already held the template — no construction
-    /// ran.
-    pub cached: bool,
-    /// Per-stage construction split, when the template records one (the
-    /// Räcke/FRT builders do).
-    pub stages: Option<TemplateStageStats>,
-    /// Snapshot of the cache's aggregate hit/miss/eviction counters as of
-    /// this build — the serving rebuild loop reads `cache.evictions` here
-    /// to watch a bounded cache shed stale generations under churn.
-    pub cache: CacheStats,
-}
-
-impl TemplateBuildStats {
-    /// Fraction of the construction spent in rayon-parallel stages —
-    /// the single-core headroom. 1.0 for a cache hit (nothing was
-    /// rebuilt), the template's own
-    /// [`parallel_share`](TemplateStageStats::parallel_share) when
-    /// per-stage stats exist, 0.0 otherwise.
-    pub fn parallel_share(&self) -> f64 {
-        if self.cached {
-            1.0
-        } else {
-            self.stages.map_or(0.0, |s| s.parallel_share())
-        }
-    }
-}
-
-/// Constructs oblivious templates through a [`PathSystemCache`], timing
-/// every build and fanning template *ensembles* out over rayon workers.
-///
-/// A single template build is already internally parallel (metric
-/// Dijkstras, canonical-load blocks); the builder adds the outer level —
-/// distinct `(template, seed)` entries of an ensemble are independent, so
-/// they build concurrently, each memoized under its own cache key. The
-/// double-checked cache never serializes concurrent *different* keys.
+/// Constructs oblivious templates through a [`PathSystemCache`],
+/// reporting whether each build was shared from the cache.
 ///
 /// # Examples
 ///
@@ -498,21 +454,16 @@ impl TemplateBuildStats {
 /// let cache = PathSystemCache::new();
 /// let builder = TemplateBuilder::new(&cache);
 /// let topo = TopologySpec::Grid { rows: 3, cols: 3 };
-/// let (template, stats) = builder.build(&topo, &TemplateSpec::raecke(), 1);
+/// let (template, cached) = builder.build(&topo, &TemplateSpec::raecke(), 1);
 /// assert_eq!(template.graph().n(), 9);
-/// assert!(!stats.cached, "first build constructs");
+/// assert!(!cached, "first build constructs");
 /// let (_, again) = builder.build(&topo, &TemplateSpec::raecke(), 1);
-/// assert!(again.cached, "second build is shared from the cache");
+/// assert!(again, "second build is shared from the cache");
 /// ```
 #[derive(Debug)]
 pub struct TemplateBuilder<'a> {
     cache: &'a PathSystemCache,
 }
-
-/// Below this many ensemble entries the fan-out stays serial (the
-/// vendored rayon shim spawns threads per call); results are identical
-/// either way — each entry is an independent cache-keyed build.
-const ENSEMBLE_PAR_MIN_ENTRIES: usize = 2;
 
 impl<'a> TemplateBuilder<'a> {
     /// A builder constructing through (and memoizing into) `cache`.
@@ -520,69 +471,17 @@ impl<'a> TemplateBuilder<'a> {
         TemplateBuilder { cache }
     }
 
-    /// Builds (or fetches) one template, reporting what it cost and
-    /// whether it was shared from the cache. The `cached` flag comes out
-    /// of the cache's own atomic lookup, so even when another thread
-    /// races the same key the flag matches what *this* call actually did
-    /// (fetched vs constructed).
+    /// Builds (or fetches) one template, plus whether it was shared from
+    /// the cache. The flag comes out of the cache's own atomic lookup, so
+    /// even when another thread races the same key it matches what
+    /// *this* call actually did (fetched vs constructed).
     pub fn build(
         &self,
         topo: &TopologySpec,
         template: &TemplateSpec,
         seed: u64,
-    ) -> (SharedTemplate, TemplateBuildStats) {
-        // Diagnostics-only wall clock: TemplateBuildStats.wall never
-        // enters the serialized report body. lint: allow(wall_clock)
-        let start = Instant::now();
-        let (t, cached) = self.cache.template_with_hit(topo, template, seed);
-        let stats = TemplateBuildStats {
-            wall: start.elapsed(),
-            cached,
-            stages: t.build_stats(),
-            cache: self.cache.stats(),
-        };
-        (t, stats)
-    }
-
-    /// Builds a template *ensemble* — one entry per `(template, seed)`
-    /// pair — in parallel over rayon workers, returned in entry order.
-    ///
-    /// Entries are independent cache-keyed constructions, so the result
-    /// set is identical at any thread count (two racing duplicates of
-    /// the *same* key both compute; the first insert wins, and both
-    /// computations agree — see [`PathSystemCache`]).
-    ///
-    /// Note on nesting: each entry's construction is itself parallel
-    /// (metric fan-out, tree sampling), and the vendored rayon shim
-    /// spawns workers per call rather than sharing a pool, so an
-    /// ensemble of heavy templates can transiently hold
-    /// `entries × workers` OS threads. That oversubscription trades a
-    /// little scheduling overhead for keeping every stage busy; with
-    /// real rayon the nested calls would share one pool. Results are
-    /// unaffected either way.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssor_engine::{PathSystemCache, TemplateBuilder, TemplateSpec, TopologySpec};
-    ///
-    /// let cache = PathSystemCache::new();
-    /// let builder = TemplateBuilder::new(&cache);
-    /// let topo = TopologySpec::Ring { n: 8 };
-    /// let entries: Vec<(TemplateSpec, u64)> =
-    ///     (0..4).map(|s| (TemplateSpec::FrtEnsemble { trees: 4 }, s)).collect();
-    /// let built = builder.build_ensemble(&topo, &entries);
-    /// assert_eq!(built.len(), 4);
-    /// assert!(built.iter().all(|(t, _)| t.graph().n() == 8));
-    /// ```
-    pub fn build_ensemble(
-        &self,
-        topo: &TopologySpec,
-        entries: &[(TemplateSpec, u64)],
-    ) -> Vec<(SharedTemplate, TemplateBuildStats)> {
-        ssor_graph::par_ordered_map(entries, ENSEMBLE_PAR_MIN_ENTRIES, |(spec, seed)| {
-            self.build(topo, spec, *seed)
-        })
+    ) -> (SharedTemplate, bool) {
+        self.cache.template_with_hit(topo, template, seed)
     }
 }
 
@@ -669,33 +568,10 @@ mod tests {
         let builder = TemplateBuilder::new(&cache);
         let topo = TopologySpec::Grid { rows: 3, cols: 3 };
         let (a, first) = builder.build(&topo, &TemplateSpec::raecke(), 5);
-        assert!(!first.cached);
-        assert!(first.stages.is_some(), "raecke reports per-stage stats");
-        assert!(first.parallel_share() >= 0.0);
+        assert!(!first);
         let (b, second) = builder.build(&topo, &TemplateSpec::raecke(), 5);
-        assert!(second.cached, "second build shares the cached template");
-        assert_eq!(second.parallel_share(), 1.0);
+        assert!(second, "second build shares the cached template");
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn template_ensembles_build_in_entry_order() {
-        let cache = PathSystemCache::new();
-        let builder = TemplateBuilder::new(&cache);
-        let topo = TopologySpec::Grid { rows: 2, cols: 4 };
-        let entries: Vec<(TemplateSpec, u64)> = vec![
-            (TemplateSpec::FrtEnsemble { trees: 3 }, 0),
-            (TemplateSpec::ShortestPath, 0),
-            (TemplateSpec::FrtEnsemble { trees: 3 }, 1),
-        ];
-        let built = builder.build_ensemble(&topo, &entries);
-        assert_eq!(built.len(), 3);
-        // Each entry memoized under its own key: rebuilding is shared.
-        let again = builder.build_ensemble(&topo, &entries);
-        for ((t, _), (t2, s2)) in built.iter().zip(again.iter()) {
-            assert!(Arc::ptr_eq(t, t2));
-            assert!(s2.cached);
-        }
     }
 
     #[test]
@@ -748,19 +624,6 @@ mod tests {
         // Graph store ignores the bound (only templates/paths churn).
         let a2 = cache.graph(&TopologySpec::Ring { n: 4 });
         assert!(Arc::ptr_eq(&a, &a2));
-    }
-
-    #[test]
-    fn build_stats_surface_cache_counters() {
-        let cache = PathSystemCache::bounded(1);
-        let builder = TemplateBuilder::new(&cache);
-        let topo = TopologySpec::Ring { n: 6 };
-        let (_, s0) = builder.build(&topo, &TemplateSpec::ShortestPath, 0);
-        assert_eq!(s0.cache.evictions, 0);
-        cache.advance_generation();
-        let (_, s1) = builder.build(&topo, &TemplateSpec::ShortestPath, 1);
-        assert_eq!(s1.cache.evictions, 1, "capacity 1: second build evicts");
-        assert!(s1.cache.misses >= 2);
     }
 
     #[test]

@@ -59,9 +59,7 @@ mod spec;
 mod stream;
 pub mod sweep;
 
-pub use cache::{
-    CacheStats, OptBounds, PathSystemCache, SharedTemplate, TemplateBuildStats, TemplateBuilder,
-};
+pub use cache::{CacheStats, OptBounds, PathSystemCache, SharedTemplate, TemplateBuilder};
 pub use pipeline::{EvalRecord, Objective, Pipeline, PreparedPipeline, RunReport};
 pub use snapshot::{route_table_all_pairs, route_table_from_template};
 pub use spec::{

@@ -7,9 +7,7 @@
 //! the result. Every experiment in `crates/bench` is a configuration of
 //! this type; none of them hand-roll the stage plumbing anymore.
 
-use crate::cache::{
-    OptBounds, PathSystemCache, SharedTemplate, TemplateBuildStats, TemplateBuilder,
-};
+use crate::cache::{OptBounds, PathSystemCache, SharedTemplate};
 use crate::spec::{DemandSpec, ResolveCtx, StreamModel, TemplateSpec, TopologySpec};
 use crate::stream::{FailureSweepReport, FailureTrial, StreamReport, StreamStep};
 use crate::sweep::{self, SweepOptions};
@@ -30,7 +28,6 @@ use ssor_graph::{derive_seed, par_ordered_map, EdgeId, Graph, SubTopology};
 use ssor_lowerbound::graphs::CGraphMeta;
 use ssor_sim::{simulate_routing, SimConfig};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What stage 4 optimizes.
 ///
@@ -122,7 +119,7 @@ impl EvalRecord {
 }
 
 /// The result of [`Pipeline::run`]: one [`EvalRecord`] per demand, in
-/// batch order, plus the wall-clock the run took.
+/// batch order.
 ///
 /// # Examples
 ///
@@ -134,18 +131,11 @@ impl EvalRecord {
 ///     .alpha(2)
 ///     .run(&Default::default());
 /// assert_eq!(report.records.len(), 2);
-/// assert!(report.wall.as_nanos() > 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-demand evaluations, in the order the demands were added.
     pub records: Vec<EvalRecord>,
-    /// Wall-clock duration of the whole run.
-    pub wall: std::time::Duration,
-    /// What the stage-2 template build cost (and whether the cache
-    /// shared it); `None` under [`Objective::CompletionTime`], which
-    /// builds no template.
-    pub template: Option<TemplateBuildStats>,
 }
 
 impl RunReport {
@@ -461,8 +451,7 @@ impl Pipeline {
         let graph_and_meta = cache.graph(&self.topology);
         match self.objective {
             Objective::Congestion => {
-                let (template, template_stats) =
-                    TemplateBuilder::new(cache).build(&self.topology, &self.template, self.seed);
+                let template = cache.template(&self.topology, &self.template, self.seed);
                 let paths = cache.paths(
                     &self.topology,
                     &self.template,
@@ -486,7 +475,6 @@ impl Pipeline {
                     pipeline: self.clone(),
                     graph_and_meta,
                     template: Some(template),
-                    template_stats: Some(template_stats),
                     paths,
                     router,
                 }
@@ -509,7 +497,6 @@ impl Pipeline {
                     pipeline: self.clone(),
                     graph_and_meta,
                     template: None,
-                    template_stats: None,
                     paths,
                     router: PreparedRouter::Completion(comp),
                 }
@@ -536,15 +523,9 @@ impl Pipeline {
     /// assert!(r4.records[0].congestion <= r1.records[0].congestion * 1.1 + 1e-6);
     /// ```
     pub fn run(&self, cache: &PathSystemCache) -> RunReport {
-        // Diagnostics-only wall clock: RunReport.wall stays out of the
-        // canonical report body (see report_json). lint: allow(wall_clock)
-        let start = Instant::now();
         let prepared = self.prepare(cache);
-        let records = prepared.evaluate_batch(cache, &self.demands);
         RunReport {
-            records,
-            wall: start.elapsed(),
-            template: prepared.template_stats(),
+            records: prepared.evaluate_batch(cache, &self.demands),
         }
     }
 
@@ -610,8 +591,6 @@ impl Pipeline {
         let prepared = self.prepare(cache);
         let g = prepared.graph();
         let demands = model.sequence(g.n(), steps);
-        // Diagnostics-only wall clock for StreamReport. lint: allow(wall_clock)
-        let start = Instant::now();
         let mut warm_sol = Solver::new(g);
         let mut records = Vec::with_capacity(steps);
         for (step, d) in demands.into_iter().enumerate() {
@@ -661,11 +640,7 @@ impl Pipeline {
                 makespan,
             });
         }
-        StreamReport {
-            steps: records,
-            wall: start.elapsed(),
-            template: prepared.template_stats(),
-        }
+        StreamReport { steps: records }
     }
 
     /// The failure-sweep stage: `trials` independent trials, each
@@ -682,9 +657,7 @@ impl Pipeline {
     /// The intact-topology template (and its sampled path system) is
     /// built **once** through the cache and shared by every trial —
     /// failures mask edges and drop candidate paths, they never rebuild
-    /// templates. The report's
-    /// [`template`](crate::FailureSweepReport::template) stats record
-    /// that single build (or cache share).
+    /// templates.
     ///
     /// # Panics
     ///
@@ -727,8 +700,6 @@ impl Pipeline {
         trials: usize,
         threads: Option<usize>,
     ) -> FailureSweepReport {
-        // Diagnostics-only wall clock for FailureSweepReport. lint: allow(wall_clock)
-        let start = Instant::now();
         let prepared = self.prepare(cache);
         let g = prepared.graph();
         assert!(
@@ -850,8 +821,6 @@ impl Pipeline {
             .collect();
         FailureSweepReport {
             trials: trials_flat,
-            wall: start.elapsed(),
-            template: prepared.template_stats(),
         }
     }
 
@@ -924,8 +893,6 @@ pub struct PreparedPipeline {
     /// `None` under [`Objective::CompletionTime`], which builds its own
     /// hop-ladder routings instead of sampling a template.
     template: Option<SharedTemplate>,
-    /// What the stage-2 build cost (`None` when no template was built).
-    template_stats: Option<TemplateBuildStats>,
     paths: Arc<PathSystem>,
     router: PreparedRouter,
 }
@@ -993,25 +960,6 @@ impl PreparedPipeline {
         Some(crate::snapshot::route_table_from_template(
             template, &pairs, generation,
         ))
-    }
-
-    /// What the stage-2 template build cost — wall-clock, whether the
-    /// cache shared it, and the per-stage parallelizable split when the
-    /// template records one. `None` under
-    /// [`Objective::CompletionTime`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssor_engine::{Pipeline, TemplateSpec, TopologySpec};
-    /// let p = Pipeline::on(TopologySpec::Grid { rows: 3, cols: 3 })
-    ///     .alpha(2)
-    ///     .prepare(&Default::default());
-    /// let stats = p.template_stats().expect("congestion objective builds one");
-    /// assert!(!stats.cached, "fresh cache cannot share");
-    /// ```
-    pub fn template_stats(&self) -> Option<TemplateBuildStats> {
-        self.template_stats
     }
 
     /// The sampled path system (stage 3).
@@ -1325,47 +1273,6 @@ mod tests {
             "adversary too weak: ratio {}",
             rec.ratio.unwrap()
         );
-    }
-
-    #[test]
-    fn reports_surface_template_build_stats() {
-        let cache = PathSystemCache::new();
-        let p = Pipeline::on(TopologySpec::Grid { rows: 3, cols: 3 })
-            .alpha(2)
-            .solve_options(quick_opts())
-            .without_opt()
-            .demand("d", DemandSpec::Pairs(vec![(0, 8)]));
-        let first = p.run(&cache);
-        let t1 = first
-            .template
-            .expect("congestion objective builds a template");
-        assert!(!t1.cached);
-        assert!(
-            t1.stages.is_some(),
-            "default Raecke template reports stages"
-        );
-        let second = p.run(&cache);
-        assert!(
-            second.template.unwrap().cached,
-            "re-run shares the template"
-        );
-    }
-
-    #[test]
-    fn failure_sweep_shares_intact_template_across_trials() {
-        let cache = PathSystemCache::new();
-        let p = Pipeline::on(TopologySpec::Hypercube { dim: 3 })
-            .template(TemplateSpec::Valiant)
-            .alpha(2)
-            .solve_options(quick_opts())
-            .without_opt()
-            .demand("complement", DemandSpec::Complement);
-        let report = p.failure_sweep(&cache, 1, 3);
-        let stats = report.template.expect("sweep records its one build");
-        assert!(!stats.cached, "one construction serves all trials");
-        // A second sweep over the same cache shares the template outright.
-        let again = p.failure_sweep(&cache, 1, 2);
-        assert!(again.template.unwrap().cached);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! them, and re-routes the base demands on the survivors — comparing
 //! against the offline optimum of the damaged topology.
 
-use crate::cache::TemplateBuildStats;
 use ssor_graph::EdgeId;
-use std::time::Duration;
 
 /// One step of a [`StreamReport`].
 #[derive(Debug, Clone)]
@@ -48,12 +46,6 @@ pub struct StreamStep {
 pub struct StreamReport {
     /// Per-step records.
     pub steps: Vec<StreamStep>,
-    /// Wall-clock duration of the whole run (excluding stage 1–3
-    /// preparation answered by the cache).
-    pub wall: Duration,
-    /// What the single stage-2 template build behind the whole stream
-    /// cost (`cached` when a shared cache had already built it).
-    pub template: Option<TemplateBuildStats>,
 }
 
 impl StreamReport {
@@ -129,18 +121,13 @@ pub struct FailureTrial {
 }
 
 /// The result of a failure sweep: `trials × demands` records, trials
-/// outermost, in order.
+/// outermost, in order. Every trial re-routes against the one
+/// intact-topology template the sweep prepares (or shares from the
+/// cache) — trials never rebuild templates.
 #[derive(Debug, Clone)]
 pub struct FailureSweepReport {
     /// Per-(trial, demand) records.
     pub trials: Vec<FailureTrial>,
-    /// Wall-clock duration of the whole sweep.
-    pub wall: Duration,
-    /// What the *single* intact-topology template build behind the whole
-    /// sweep cost: the template is constructed once (or shared from the
-    /// cache) and every trial re-routes against it — trials never
-    /// rebuild templates.
-    pub template: Option<TemplateBuildStats>,
 }
 
 impl FailureSweepReport {

@@ -2,10 +2,11 @@
 //! serialized report bytes.
 //!
 //! **Why.** Wall time is the one nondeterminism the workspace cannot
-//! derive from a seed. It is legitimate in exactly one role: filling
-//! `*Stats.wall`-style observability fields (solver timing splits,
-//! template build stages, the perf harness) that are *excluded* from
-//! every serialized report. The sweep journal, the golden-report
+//! derive from a seed. Its legitimate readers are few: the perf
+//! harnesses, which time stages from outside, and the one split nothing
+//! outside can see — the solver's oracle share
+//! (`SolverStats::oracle_wall`), which is *excluded* from every
+//! serialized report. The sweep journal, the golden-report
 //! fixtures, and crash/resume splicing all require reports to
 //! serialize to the same bytes on every run — one `Instant::now()`
 //! that leaks into a serialized field silently breaks steal-order
@@ -49,7 +50,8 @@ pub fn check(file: &SourceFile, class: &FileClass, out: &mut Vec<Diagnostic>) {
                         rule: NAME,
                         message: format!(
                             "wall-clock read `{token}` without `// lint: allow(wall_clock)`: \
-                             wall time may feed *Stats.wall observability fields, never \
+                             wall time belongs in the perf harnesses; in-library reads \
+                             are limited to the solver's oracle split and never reach \
                              serialized report bytes"
                         ),
                     });

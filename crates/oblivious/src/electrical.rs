@@ -29,13 +29,12 @@
 //! slow-but-simple reference implementation the per-source path is
 //! tested against.
 
-use crate::traits::{ObliviousRouting, TemplateStageStats};
+use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
 use ssor_flow::decompose::{decompose, EdgeFlow};
 use ssor_graph::{CsrLaplacian, Graph, Path, Preconditioner, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Sparse symmetric Laplacian application: `y = L x` for the weighted
 /// graph Laplacian with conductance `w_e` per edge. The textbook
@@ -226,7 +225,6 @@ pub struct ElectricalRouting {
     /// Laplacian solves performed so far — the observable the O(n)
     /// scaling test asserts on.
     solves: AtomicUsize,
-    stats: Option<TemplateStageStats>,
 }
 
 impl ElectricalRouting {
@@ -293,7 +291,6 @@ impl ElectricalRouting {
             opts,
             potentials: Mutex::new(vec![None; g.n()]),
             solves: AtomicUsize::new(0),
-            stats: None,
         })
     }
 
@@ -343,9 +340,8 @@ impl ElectricalRouting {
 
     /// Batch-solves `ψ_s` for every vertex up front, fanning sources
     /// over rayon workers (input-order collected, so the cache is
-    /// bit-identical at any thread count), and records the build wall
-    /// into [`ObliviousRouting::build_stats`]. The all-pairs template
-    /// build: `O(n)` solves, after which every pair query is solve-free.
+    /// bit-identical at any thread count). The all-pairs template build:
+    /// `O(n)` solves, after which every pair query is solve-free.
     pub fn precomputed(self) -> Self {
         let sources: Vec<VertexId> = (0..self.graph.n() as VertexId).collect();
         self.precompute_sources(&sources)
@@ -354,9 +350,8 @@ impl ElectricalRouting {
     /// Batch-solves `ψ_s` for the given sources only — the shape the
     /// standing bench uses to time per-source solves on graphs too large
     /// for an `n × n` potentials cache.
-    pub fn precompute_sources(mut self, sources: &[VertexId]) -> Self {
+    pub fn precompute_sources(self, sources: &[VertexId]) -> Self {
         let n = self.graph.n();
-        let t0 = std::time::Instant::now(); // lint: allow(wall_clock) — feeds TemplateStageStats only
         let rhs: Vec<Vec<f64>> = sources.iter().map(|&s| source_rhs(n, s)).collect();
         let solved = self.lap.solve_batch(
             &rhs,
@@ -364,7 +359,6 @@ impl ElectricalRouting {
             self.opts.tolerance,
             4 * n + 200,
         );
-        let wall = t0.elapsed();
         self.solves.fetch_add(sources.len(), Ordering::Relaxed);
         {
             let mut cache = self.potentials.lock().expect("potentials cache lock");
@@ -372,14 +366,6 @@ impl ElectricalRouting {
                 cache[s as usize] = Some(Arc::new(sol.potentials));
             }
         }
-        let prev = self.stats.unwrap_or_default();
-        self.stats = Some(TemplateStageStats {
-            metric_wall: prev.metric_wall + wall,
-            tree_wall: Duration::ZERO,
-            load_wall: Duration::ZERO,
-            total_wall: prev.total_wall + wall,
-            tree_stage_parallel: false,
-        });
         self
     }
 
@@ -481,10 +467,6 @@ impl ObliviousRouting for ElectricalRouting {
         // deterministically instead).
         parts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.edges().cmp(b.0.edges())));
         parts
-    }
-
-    fn build_stats(&self) -> Option<TemplateStageStats> {
-        self.stats
     }
 }
 
@@ -618,7 +600,6 @@ mod tests {
             n,
             "queries after precompute are solve-free"
         );
-        assert!(pre.build_stats().is_some());
     }
 
     #[test]

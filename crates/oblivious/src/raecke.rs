@@ -16,15 +16,13 @@
 //! all-pairs metric fans its Dijkstra trees over workers
 //! ([`Metric::build`]), and the canonical-load accumulation walks its `m`
 //! tree paths in fixed edge blocks merged through
-//! [`EdgeLoads::par_merge`]. Where the build time went is recorded as a
-//! [`TemplateStageStats`] (see [`RaeckeRouting::build_stats`]).
+//! [`EdgeLoads::par_merge`].
 
 use crate::frt::{sample_trees_for_metric, FrtTree, Metric, TreeRouting};
-use crate::traits::{DistributionBuilder, ObliviousRouting, TemplateStageStats};
+use crate::traits::{DistributionBuilder, ObliviousRouting};
 use rand::{Rng, RngCore};
 use ssor_graph::{par_ordered_map, EdgeLoads, Graph, Path, VertexId};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Options for [`RaeckeRouting::build`].
 #[derive(Debug, Clone)]
@@ -87,8 +85,6 @@ pub struct RaeckeRouting {
     weights: Vec<f64>,
     /// Max relative load per iteration (diagnostic; Räcke's objective).
     relative_loads: Vec<f64>,
-    /// Where the construction spent its wall-clock.
-    stats: TemplateStageStats,
 }
 
 /// The canonical "every edge ships one unit between its endpoints" load
@@ -139,30 +135,18 @@ impl RaeckeRouting {
         assert!(g.m() > 0, "graph must have edges");
         assert!(g.is_connected(), "Raecke routing needs a connected graph");
         assert!(opts.iterations > 0);
-        // Stage timings below feed TemplateStageStats — diagnostics only,
-        // never part of the deterministic report surface.
-        let build_start = Instant::now(); // lint: allow(wall_clock)
         let m = g.m();
         let canonical: Vec<(VertexId, VertexId)> = g.edges().map(|(_, uv)| uv).collect();
         let mut lengths = vec![1.0f64; m];
         let mut trees = Vec::with_capacity(opts.iterations);
         let mut relative_loads = Vec::with_capacity(opts.iterations);
-        let mut stats = TemplateStageStats::default();
 
         for _ in 0..opts.iterations {
             let lens = lengths.clone();
-            let stage = Instant::now(); // lint: allow(wall_clock)
             let metric = Arc::new(Metric::build(g, &move |e| lens[e as usize]));
-            stats.metric_wall += stage.elapsed();
-
-            let stage = Instant::now(); // lint: allow(wall_clock)
             let tree = Arc::new(FrtTree::sample(&metric, g.n(), rng));
             let tr = TreeRouting::new(Arc::clone(&metric), tree);
-            stats.tree_wall += stage.elapsed();
-
-            let stage = Instant::now(); // lint: allow(wall_clock)
             let load = canonical_loads(g, &tr, &canonical);
-            stats.load_wall += stage.elapsed();
             let rho = load.max().max(1.0);
             relative_loads.push(rho);
 
@@ -180,14 +164,12 @@ impl RaeckeRouting {
 
             trees.push(tr);
         }
-        stats.total_wall = build_start.elapsed();
         let w = 1.0 / trees.len() as f64;
         RaeckeRouting {
             graph: g.clone(),
             weights: vec![w; trees.len()],
             relative_loads,
             trees,
-            stats,
         }
     }
 
@@ -206,7 +188,6 @@ impl RaeckeRouting {
             weights: vec![w; trees.len()],
             relative_loads: Vec::new(),
             trees,
-            stats: TemplateStageStats::default(),
         }
     }
 
@@ -239,23 +220,9 @@ impl RaeckeRouting {
         assert!(count > 0, "ensemble needs at least one tree");
         assert!(g.m() > 0, "graph must have edges");
         assert!(g.is_connected(), "FRT ensemble needs a connected graph");
-        // Stage timings feed TemplateStageStats — diagnostics only.
-        let build_start = Instant::now(); // lint: allow(wall_clock)
-        let stage = Instant::now(); // lint: allow(wall_clock)
         let metric = Arc::new(Metric::hops(g));
-        let metric_wall = stage.elapsed();
-        let stage = Instant::now(); // lint: allow(wall_clock)
         let trees = sample_trees_for_metric(g, &metric, count, seed);
-        let tree_wall = stage.elapsed();
-        let mut mixture = RaeckeRouting::uniform_mixture(g, trees);
-        mixture.stats = TemplateStageStats {
-            metric_wall,
-            tree_wall,
-            load_wall: std::time::Duration::ZERO,
-            total_wall: build_start.elapsed(),
-            tree_stage_parallel: true,
-        };
-        mixture
+        RaeckeRouting::uniform_mixture(g, trees)
     }
 
     /// The trees in the mixture.
@@ -304,10 +271,6 @@ impl ObliviousRouting for RaeckeRouting {
         }
         acc.finish()
     }
-
-    fn build_stats(&self) -> Option<TemplateStageStats> {
-        Some(self.stats)
-    }
 }
 
 #[cfg(test)]
@@ -328,9 +291,6 @@ mod tests {
         let pairs: Vec<(u32, u32)> = vec![(0, 8), (2, 6), (1, 7), (3, 5)];
         validate_oblivious_routing(&r, &pairs).unwrap();
         assert_eq!(r.trees().len(), 12);
-        let stats = r.build_stats().expect("raecke tracks build stats");
-        assert!(stats.total_wall.as_nanos() > 0);
-        assert!(stats.metric_wall + stats.tree_wall + stats.load_wall <= stats.total_wall * 2);
     }
 
     #[test]
@@ -509,11 +469,5 @@ mod tests {
             assert_eq!(a.path_distribution(s, t), b.path_distribution(s, t));
         }
         assert!(a.relative_loads().is_empty(), "no MW adaptation ran");
-        let stats = a.build_stats().expect("ensemble tracks build stats");
-        assert_eq!(stats.load_wall.as_nanos(), 0);
-        // Seeded ensembles sample trees in parallel, so the tree stage
-        // counts toward the parallel share (~100% for this template).
-        assert!(stats.tree_stage_parallel);
-        assert!(stats.parallel_share() > 0.8, "{}", stats.parallel_share());
     }
 }

@@ -54,11 +54,10 @@ fn main() {
         );
     }
     println!(
-        "\nmean coverage {:.0}%, stranded mass {:.4}, worst ratio vs damaged OPT {:.3}, wall {:?}\n",
+        "\nmean coverage {:.0}%, stranded mass {:.4}, worst ratio vs damaged OPT {:.3}\n",
         sweep.mean_coverage() * 100.0,
         sweep.total_stranded(),
         sweep.worst_ratio().unwrap_or(f64::NAN),
-        sweep.wall
     );
 
     println!("== part 2: diurnal demand stream on a Waxman WAN ==\n");
