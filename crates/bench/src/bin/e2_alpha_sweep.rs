@@ -11,7 +11,7 @@
 //! instead of once per `α`, and each `α`'s path system is sampled in
 //! parallel across pairs.
 //!
-//! The `α`-grid itself is sharded across the work-stealing sweep
+//! The `α`-grid itself is sharded across the sweep
 //! scheduler (`ssor_engine::sweep`): `α = 1` runs first to prewarm the
 //! shared cache entries (graph, template, OPT baselines — keeping the
 //! printed hit/miss totals deterministic), then `α = 2..8` run as

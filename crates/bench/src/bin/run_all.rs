@@ -1,19 +1,19 @@
-//! Runs every experiment regenerator (E1–E9, A1–A3) through the
-//! work-stealing sweep scheduler.
+//! Runs every experiment regenerator (E1–E9, A1–A3) through the sweep
+//! scheduler.
 //!
 //! `cargo run --release -p ssor-bench --bin run_all`
 //!
 //! Each binary is one sweep cell: outputs are captured and printed in
 //! the fixed E1..A3 order afterwards (so the transcript is deterministic
-//! even when bins finish out of order), progress streams to stderr as
-//! bins complete, and completions are journaled to
+//! even when bins finish out of order), a `[run_all] <bin> done` line
+//! goes to stderr as each bin completes, and completions are journaled to
 //! `results/run_all.journal` — a crashed or killed run picks up where it
 //! left off, re-running only the bins that had not finished. The journal
 //! is removed after a fully successful run, so the next invocation
 //! starts fresh.
 //!
-//! When several workers are available the bins run concurrently, each
-//! child pinned to an equal share of the workers via `RAYON_NUM_THREADS`
+//! The sweep runs as many bins at once as the ambient rayon width allows,
+//! each child pinned to an equal share of the workers via `RAYON_NUM_THREADS`
 //! (every bin's numbers are thread-count invariant, so sharding changes
 //! wall-clock only).
 
@@ -62,10 +62,7 @@ fn main() {
 
     std::fs::create_dir_all(results_dir()).ok();
     let journal = results_dir().join("run_all.journal");
-    let opts = SweepOptions::default()
-        .journal(&journal)
-        .threads(workers)
-        .progress();
+    let opts = SweepOptions::default().journal(&journal);
 
     let grid = cells(bins.iter().map(|b| b.to_string()).collect::<Vec<_>>());
     let outcome = run_sweep(&grid, &opts, |cell, _seed| {
@@ -89,6 +86,7 @@ fn main() {
             eprint!("{}{}", run.stdout, run.stderr);
             panic!("{} exited with code {code}", run.bin);
         }
+        eprintln!("[run_all] {} done", run.bin);
         run
     });
 

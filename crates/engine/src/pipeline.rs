@@ -10,7 +10,6 @@
 use crate::cache::{OptBounds, PathSystemCache, SharedTemplate};
 use crate::spec::{DemandSpec, ResolveCtx, StreamModel, TemplateSpec, TopologySpec};
 use crate::stream::{FailureSweepReport, FailureTrial, StreamReport, StreamStep};
-use crate::sweep::{self, SweepOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssor_core::completion::{CompletionOptions, CompletionTimeRouter, ScaleGrowth};
@@ -682,24 +681,6 @@ impl Pipeline {
         k_failures: usize,
         trials: usize,
     ) -> FailureSweepReport {
-        self.failure_sweep_sharded(cache, k_failures, trials, None)
-    }
-
-    /// [`Pipeline::failure_sweep`] with an explicit worker count: the
-    /// trials are sharded across the [`crate::sweep`] scheduler (each
-    /// trial is one cell), `threads = None` follows the ambient rayon
-    /// setting and `Some(n)` pins it for this sweep. Because every
-    /// trial's RNG stream is derived from `(seed, trial, attempt)` alone
-    /// and records are assembled in trial order, the report is
-    /// bit-identical at every worker count — and to the serial
-    /// implementation this rewires.
-    pub fn failure_sweep_sharded(
-        &self,
-        cache: &PathSystemCache,
-        k_failures: usize,
-        trials: usize,
-        threads: Option<usize>,
-    ) -> FailureSweepReport {
         let prepared = self.prepare(cache);
         let g = prepared.graph();
         assert!(
@@ -725,19 +706,13 @@ impl Pipeline {
                 Solver::solve(g, d, &mut oracle, &self.solve)
             })
             .collect();
-        // Each trial is one sweep cell over the shared read-only context
-        // (path system, resolved demands, warm base solvers). The cell
-        // seed the scheduler derives is unused: the trial streams keep
-        // their own `derive_seed`-based derivation (see
-        // `draw_failures`), unchanged from the serial implementation.
-        let cells = sweep::cells(0..trials);
-        let opts = SweepOptions {
-            master_seed: self.seed,
-            threads,
-            ..SweepOptions::default()
-        };
-        let outcome = sweep::run_sweep(&cells, &opts, |cell, _cell_seed| {
-            let trial = cell.payload;
+        // Trials fan out over the shared read-only context (path
+        // system, resolved demands, warm base solvers). Every trial's
+        // stream is derived from `(seed, trial, attempt)` alone (see
+        // `draw_failures`), so the report is bit-identical at every
+        // worker count.
+        let trial_ids: Vec<usize> = (0..trials).collect();
+        let per_trial = par_ordered_map(&trial_ids, 2, |&trial| {
             let mut sub = g.sub_topology();
             let (dead, attempts) = self.draw_failures(&mut sub, k_failures, trial);
             let mut survivors = prepared.paths().clone();
@@ -809,18 +784,10 @@ impl Pipeline {
             }
             records
         });
-        // Records come back in ascending cell id = trial order, demands
-        // inner — the exact order the serial loop produced.
-        let trials_flat: Vec<FailureTrial> = outcome
-            .records
-            .into_iter()
-            .flat_map(|r| {
-                r.result
-                    .expect("no journal configured: every cell is fresh")
-            })
-            .collect();
+        // Trial order outermost, demands inner — the order the serial
+        // loop produced.
         FailureSweepReport {
-            trials: trials_flat,
+            trials: per_trial.into_iter().flatten().collect(),
         }
     }
 

@@ -1,8 +1,8 @@
-//! The work-stealing sweep scheduler: shards an arbitrary grid of
-//! independent cells across workers with per-cell derived seeds, streams
-//! finished cells through a bounded channel to an incremental journal,
-//! and assembles a final JSON report that is **bit-identical** at every
-//! thread count, under every steal order, and across crash/resume.
+//! The sweep scheduler: fans an arbitrary grid of independent cells out
+//! through `ssor_graph::par_ordered_map` with per-cell derived seeds,
+//! journals each finished cell the moment it completes, and assembles a
+//! final JSON report that is **bit-identical** at every thread count,
+//! in every completion order, and across crash/resume.
 //!
 //! The paper's experiments (and the dynamic scenarios layered on them)
 //! are embarrassingly wide: thousands of independent
@@ -13,17 +13,18 @@
 //!    `ssor_graph::derive_seed(master_seed, cell.id)` — a pure function
 //!    of the cell's identity. Which worker runs the cell, and when, can
 //!    never change its result.
-//! 2. **Order-free assembly.** Workers claim cells from an atomic
-//!    counter (uneven cell costs still balance) and stream results to a
-//!    single writer through a bounded channel; the final report sorts by
-//!    cell id, so the steal order leaves no trace in the output bytes.
+//! 2. **Order-free assembly.** Cells fan out through the workspace's one
+//!    fan-out primitive, so the worker count follows `RAYON_NUM_THREADS`
+//!    like every other parallel stage; the final report sorts by cell
+//!    id, so completion order leaves no trace in the output bytes.
 //! 3. **Crash-resumable journal.** Each finished cell is appended to the
-//!    journal as one `<id>\t<compact-json>\n` line and flushed. A rerun
-//!    reads the journal, skips every completed cell (keeping its
-//!    journaled bytes verbatim), and computes only the remainder — the
-//!    final JSON is byte-identical to an uninterrupted run. A line
-//!    without a trailing newline (a mid-write kill) is ignored and its
-//!    cell simply re-runs.
+//!    journal as one `<id>\t<compact-json>\n` line and flushed by the
+//!    worker that ran it, under a lock, so concurrent appends never
+//!    interleave. A rerun reads the journal, skips every completed cell
+//!    (keeping its journaled bytes verbatim), and computes only the
+//!    remainder — the final JSON is byte-identical to an uninterrupted
+//!    run. A line without a trailing newline (a mid-write kill) is cut
+//!    off the file before the first append and its cell simply re-runs.
 //!
 //! The journal's *line order* reflects completion order and is therefore
 //! not stable across runs; only the assembled report is. Since the
@@ -39,20 +40,19 @@
 //! // 10 cells; each result is a pure function of (payload, cell seed).
 //! let grid = cells((0..10u64).collect::<Vec<_>>());
 //! let opts = SweepOptions::default().seed(42);
-//! let one = run_sweep(&grid, &opts.clone().threads(1), |c, s| (c.payload, s % 97));
-//! let four = run_sweep(&grid, &opts.threads(4), |c, s| (c.payload, s % 97));
-//! assert_eq!(one.to_json_string(), four.to_json_string());
-//! assert_eq!(one.executed, 10);
+//! let first = run_sweep(&grid, &opts, |c, s| (c.payload, s % 97));
+//! let again = run_sweep(&grid, &opts, |c, s| (c.payload, s % 97));
+//! assert_eq!(first.to_json_string(), again.to_json_string());
+//! assert_eq!(first.executed, 10);
 //! ```
 
 use serde::Serialize;
-use ssor_graph::derive_seed;
+use ssor_graph::{derive_seed, par_ordered_map};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::Mutex;
 
 /// One unit of sweep work: a stable identity plus an arbitrary payload
 /// (a scenario, a trial index, an `α` value, a whole spec — whatever the
@@ -140,37 +140,17 @@ pub fn grid(
     out
 }
 
-/// Scheduler configuration for [`run_sweep`].
-#[derive(Debug, Clone)]
+/// Scheduler configuration for [`run_sweep`]. The worker count is not
+/// a setting: like every other parallel stage it follows the ambient
+/// rayon width (`RAYON_NUM_THREADS` / available parallelism).
+#[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Master seed: cell `i` evaluates under
     /// `ssor_graph::derive_seed(master_seed, i)`.
     pub master_seed: u64,
-    /// Journal path for crash-resume. `None` disables journaling (the
-    /// sweep still streams through the channel, results are only kept in
-    /// memory).
+    /// Journal path for crash-resume. `None` disables journaling
+    /// (results are only kept in memory).
     pub journal: Option<PathBuf>,
-    /// Bound of the worker→writer channel: how many finished cells may
-    /// be in flight before workers block on the journal writer.
-    pub channel_capacity: usize,
-    /// Worker count. `None` follows the ambient rayon setting
-    /// (`RAYON_NUM_THREADS` / available parallelism); `Some(n)` pins it
-    /// for this sweep regardless of the environment.
-    pub threads: Option<usize>,
-    /// Emit a progress line to stderr as each cell completes.
-    pub progress: bool,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            master_seed: 0,
-            journal: None,
-            channel_capacity: 64,
-            threads: None,
-            progress: false,
-        }
-    }
 }
 
 impl SweepOptions {
@@ -183,18 +163,6 @@ impl SweepOptions {
     /// Enables journaling to `path`.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
-        self
-    }
-
-    /// Pins the worker count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Enables per-cell progress lines on stderr.
-    pub fn progress(mut self) -> Self {
-        self.progress = true;
         self
     }
 }
@@ -213,7 +181,7 @@ pub struct CellRecord<R> {
 }
 
 /// The result of [`run_sweep`]: every cell's record in **ascending id
-/// order** (independent of input order and steal order), plus how the
+/// order** (independent of input order and completion order), plus how the
 /// work split between fresh execution and journal resume.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome<R> {
@@ -228,7 +196,7 @@ pub struct SweepOutcome<R> {
 impl<R> SweepOutcome<R> {
     /// The assembled report: a JSON array of the per-cell results in
     /// ascending id order, one element per line. Byte-identical across
-    /// thread counts, steal orders, input orders, and resume splits.
+    /// thread counts, completion orders, input orders, and resume splits.
     pub fn to_json_string(&self) -> String {
         let mut out = String::from("[");
         for (i, rec) in self.records.iter().enumerate() {
@@ -254,17 +222,15 @@ impl<R> SweepOutcome<R> {
 
 /// Reads a journal back as `id → compact JSON`. Missing file means an
 /// empty journal; a final line without its trailing newline (a mid-write
-/// kill) is dropped, so its cell re-runs on resume.
-fn read_journal(path: &Path) -> HashMap<u64, String> {
+/// kill) is dropped, so its cell re-runs on resume, and its start offset
+/// is returned so [`open_journal`] can cut it off the file.
+fn read_journal(path: &Path) -> (HashMap<u64, String>, Option<u64>) {
     let mut done = HashMap::new();
     let Ok(bytes) = std::fs::read(path) else {
-        return done;
+        return (done, None);
     };
-    let content = String::from_utf8_lossy(&bytes);
-    for line in content.split_inclusive('\n') {
-        let Some(line) = line.strip_suffix('\n') else {
-            break; // torn tail line: incomplete, ignore
-        };
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    for line in String::from_utf8_lossy(&bytes[..complete]).split_terminator('\n') {
         let Some((id, json)) = line.split_once('\t') else {
             continue;
         };
@@ -273,7 +239,24 @@ fn read_journal(path: &Path) -> HashMap<u64, String> {
         };
         done.insert(id, json.to_string());
     }
-    done
+    let torn = (complete < bytes.len()).then_some(complete as u64);
+    (done, torn)
+}
+
+/// Opens the journal for appending, first truncating it to `torn` (the
+/// end of its last complete line) if it ends in a torn line — otherwise
+/// the next append would land on the end of the torn fragment and
+/// corrupt both lines.
+fn open_journal(path: &Path, torn: Option<u64>) -> File {
+    OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|f| match torn {
+            Some(len) => f.set_len(len).map(|()| f),
+            None => Ok(f),
+        })
+        .unwrap_or_else(|e| panic!("cannot open sweep journal {}: {e}", path.display()))
 }
 
 /// Appends one completed cell to the journal and flushes, so a kill
@@ -284,42 +267,30 @@ fn append_journal(file: &mut File, id: u64, json: &str) {
     file.flush().expect("sweep journal flush failed");
 }
 
-fn encode_cell<R: Serialize>(id: u64, result: &R) -> String {
-    // An unserializable result (NaN/infinite float) is a bug in the
-    // eval function, not a per-cell condition — the sweep must abort
-    // loudly rather than journal garbage.
-    serde_json::to_string(result)
-        // lint: allow(hot_panic) unserializable results must abort the sweep
-        .unwrap_or_else(|e| panic!("sweep cell {id} produced an unserializable result: {e}"))
-}
-
-/// Claims the next pending cell off the shared counter and evaluates
-/// it — the sweep inner loop, shared verbatim by the serial and
-/// threaded drivers so there is exactly one body to audit (and one
-/// entry point for the hot-path contract in `lint_contracts.json`).
-/// Returns `None` once the pending list is exhausted.
-fn claim_and_eval<C, R, F>(
-    counter: &AtomicUsize,
-    pending: &[usize],
-    cells: &[SweepCell<C>],
-    master_seed: u64,
-    eval: &F,
-) -> Option<(u64, String, R)>
+/// Evaluates one cell under its derived seed and encodes the result —
+/// the per-cell body every worker runs, and the entry point of the
+/// hot-path contract in `lint_contracts.json`. Journal I/O stays with
+/// the caller.
+fn eval_cell<C, R, F>(cell: &SweepCell<C>, master_seed: u64, eval: &F) -> (u64, String, R)
 where
     R: Serialize,
     F: Fn(&SweepCell<C>, u64) -> R,
 {
-    let i = counter.fetch_add(1, Ordering::Relaxed);
-    let cell = cells.get(*pending.get(i)?)?;
-    let result = eval(cell, derive_seed(master_seed, cell.id));
-    let json = encode_cell(cell.id, &result);
-    Some((cell.id, json, result))
+    let id = cell.id;
+    let result = eval(cell, derive_seed(master_seed, id));
+    // An unserializable result (NaN/infinite float) is a bug in the
+    // eval function, not a per-cell condition — the sweep must abort
+    // loudly rather than journal garbage.
+    let json = serde_json::to_string(&result)
+        // lint: allow(hot_panic) unserializable results must abort the sweep
+        .unwrap_or_else(|e| panic!("sweep cell {id} produced an unserializable result: {e}"));
+    (id, json, result)
 }
 
-/// Runs `eval` over every cell not already journaled, work-stealing
-/// across up to [`SweepOptions::threads`] workers, and returns the
-/// merged outcome (fresh results + resumed journal entries) in ascending
-/// id order.
+/// Runs `eval` over every cell not already journaled, fanned out through
+/// `ssor_graph::par_ordered_map` at the ambient rayon width, and returns
+/// the merged outcome (fresh results + resumed journal entries) in
+/// ascending id order.
 ///
 /// `eval` receives the cell and its derived seed
 /// `derive_seed(opts.master_seed, cell.id)`; as long as it is a pure
@@ -328,7 +299,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if cell ids collide, if a worker panics, or if a result fails
+/// Panics if cell ids collide, if `eval` panics, or if a result fails
 /// to serialize (the vendored shim rejects NaN/infinite floats).
 pub fn run_sweep<C, R, F>(cells: &[SweepCell<C>], opts: &SweepOptions, eval: F) -> SweepOutcome<R>
 where
@@ -340,92 +311,34 @@ where
     for cell in cells {
         assert!(seen.insert(cell.id), "duplicate sweep cell id {}", cell.id);
     }
-    let done = opts
+    let (done, torn) = opts
         .journal
         .as_deref()
         .map(read_journal)
         .unwrap_or_default();
-    let mut journal_file = opts.journal.as_deref().map(|p| {
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(p)
-            .unwrap_or_else(|e| panic!("cannot open sweep journal {}: {e}", p.display()))
-    });
+    let journal = opts
+        .journal
+        .as_deref()
+        .map(|p| Mutex::new(open_journal(p, torn)));
 
-    let pending: Vec<usize> = (0..cells.len())
-        .filter(|&i| !done.contains_key(&cells[i].id))
-        .collect();
-    let total = pending.len();
-    let threads = opts
-        .threads
-        .unwrap_or_else(rayon::current_num_threads)
-        .clamp(1, total.max(1));
-
-    let mut fresh: Vec<(u64, String, R)> = Vec::with_capacity(total);
-    if threads <= 1 {
-        let counter = AtomicUsize::new(0);
-        while let Some((id, json, result)) =
-            claim_and_eval(&counter, &pending, cells, opts.master_seed, &eval)
-        {
-            if let Some(f) = journal_file.as_mut() {
-                append_journal(f, id, &json);
-            }
-            fresh.push((id, json, result));
-            if opts.progress {
-                eprintln!("[sweep] {}/{total} cells (id {id})", fresh.len());
-            }
+    let pending: Vec<&SweepCell<C>> = cells.iter().filter(|c| !done.contains_key(&c.id)).collect();
+    let fresh = par_ordered_map(&pending, 2, |cell| {
+        let (id, json, result) = eval_cell(cell, opts.master_seed, &eval);
+        // A poisoned lock means another append failed part-way and the
+        // sweep is already going down: skip, so no line lands after the
+        // torn fragment and this cell simply re-runs on resume.
+        if let Some(Ok(mut file)) = journal.as_ref().map(Mutex::lock) {
+            append_journal(&mut file, id, &json);
         }
-    } else {
-        let counter = AtomicUsize::new(0);
-        let (tx, rx) = sync_channel::<(u64, String, R)>(opts.channel_capacity.max(1));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let tx = tx.clone();
-                    let (counter, pending, eval) = (&counter, &pending, &eval);
-                    let master = opts.master_seed;
-                    scope.spawn(move || {
-                        while let Some(out) = claim_and_eval(counter, pending, cells, master, eval)
-                        {
-                            // A closed channel means the writer stopped
-                            // (another worker panicked); just wind down.
-                            if tx.send(out).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            drop(tx);
-            // The scope's own thread is the single writer: it drains the
-            // bounded channel, journaling each cell the moment it
-            // finishes (completion order — only the final assembly is
-            // order-canonical).
-            while let Ok((id, json, result)) = rx.recv() {
-                if let Some(f) = journal_file.as_mut() {
-                    append_journal(f, id, &json);
-                }
-                fresh.push((id, json, result));
-                if opts.progress {
-                    eprintln!("[sweep] {}/{total} cells (id {id})", fresh.len());
-                }
-            }
-            for h in handles {
-                h.join().expect("sweep worker panicked");
-            }
-        });
-    }
-
-    let executed = fresh.len();
-    let mut records: Vec<CellRecord<R>> = fresh
-        .into_iter()
-        .map(|(id, json, result)| CellRecord {
+        CellRecord {
             id,
             json,
             result: Some(result),
-        })
-        .collect();
+        }
+    });
+
+    let mut records = fresh;
+    let executed = records.len();
     let mut resumed = 0;
     for cell in cells {
         if let Some(json) = done.get(&cell.id) {
@@ -448,7 +361,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::MutexGuard;
 
     #[derive(Serialize)]
     struct Out {
@@ -456,7 +370,7 @@ mod tests {
         seed: u64,
     }
 
-    fn eval_cell(c: &SweepCell<u64>, s: u64) -> Out {
+    fn probe(c: &SweepCell<u64>, s: u64) -> Out {
         Out {
             id: c.id ^ c.payload,
             seed: s,
@@ -472,20 +386,31 @@ mod tests {
         ))
     }
 
+    /// `RAYON_NUM_THREADS` is process-global, so the tests that pin it
+    /// serialize on this lock.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    fn env_lock() -> MutexGuard<'static, ()> {
+        ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` with the ambient rayon width pinned to `threads`.
+    fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+        assert_eq!(rayon::current_num_threads(), threads);
+        let out = f();
+        std::env::remove_var("RAYON_NUM_THREADS");
+        out
+    }
+
     #[test]
     fn thread_count_leaves_no_trace_in_the_report() {
+        let _guard = env_lock();
         let grid = cells((0..64u64).map(|x| x * 3).collect::<Vec<_>>());
-        let base = run_sweep(
-            &grid,
-            &SweepOptions::default().seed(7).threads(1),
-            eval_cell,
-        );
+        let opts = SweepOptions::default().seed(7);
+        let base = at_threads(1, || run_sweep(&grid, &opts, probe));
         for threads in [2, 4, 8] {
-            let got = run_sweep(
-                &grid,
-                &SweepOptions::default().seed(7).threads(threads),
-                eval_cell,
-            );
+            let got = at_threads(threads, || run_sweep(&grid, &opts, probe));
             assert_eq!(base.to_json_string(), got.to_json_string());
             assert_eq!(got.executed, 64);
             assert_eq!(got.resumed, 0);
@@ -494,53 +419,59 @@ mod tests {
 
     #[test]
     fn input_order_leaves_no_trace_in_the_report() {
+        let _guard = env_lock();
         let grid = cells((0..16u64).collect::<Vec<_>>());
         let mut reversed = grid.clone();
         reversed.reverse();
-        let a = run_sweep(&grid, &SweepOptions::default().threads(2), eval_cell);
-        let b = run_sweep(&reversed, &SweepOptions::default().threads(2), eval_cell);
+        let (a, b) = at_threads(2, || {
+            let opts = SweepOptions::default();
+            (
+                run_sweep(&grid, &opts, probe),
+                run_sweep(&reversed, &opts, probe),
+            )
+        });
         assert_eq!(a.to_json_string(), b.to_json_string());
     }
 
     #[test]
     fn resume_skips_journaled_cells_and_matches_uninterrupted_bytes() {
         let grid = cells((0..20u64).collect::<Vec<_>>());
-        let uninterrupted = run_sweep(&grid, &SweepOptions::default().threads(1), eval_cell);
+        let uninterrupted = run_sweep(&grid, &SweepOptions::default(), probe);
 
         let path = tmp("resume");
         // "Crash" after the first 8 cells: run only a prefix.
-        let first = run_sweep(
-            &grid[..8],
-            &SweepOptions::default().journal(&path),
-            eval_cell,
-        );
+        let first = run_sweep(&grid[..8], &SweepOptions::default().journal(&path), probe);
         assert_eq!((first.executed, first.resumed), (8, 0));
-        let second = run_sweep(&grid, &SweepOptions::default().journal(&path), eval_cell);
+        let second = run_sweep(&grid, &SweepOptions::default().journal(&path), probe);
         assert_eq!((second.executed, second.resumed), (12, 8));
         assert_eq!(second.to_json_string(), uninterrupted.to_json_string());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn torn_tail_line_is_ignored_and_reruns() {
+    fn torn_tail_line_is_cut_and_reruns() {
         let grid = cells((0..6u64).collect::<Vec<_>>());
         let path = tmp("torn");
-        run_sweep(&grid, &SweepOptions::default().journal(&path), eval_cell);
-        // Tear the last line's newline off: that cell must re-run.
+        let opts = SweepOptions::default().journal(&path);
+        let clean = run_sweep(&grid, &opts, probe);
+        // Tear the last line's newline off: that cell must re-run, and
+        // its fresh line must replace the fragment, not extend it.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate(bytes.len() - 1);
         std::fs::write(&path, &bytes).unwrap();
-        let resumed = run_sweep(&grid, &SweepOptions::default().journal(&path), eval_cell);
+        let resumed = run_sweep(&grid, &opts, probe);
         assert_eq!((resumed.executed, resumed.resumed), (1, 5));
-        let clean = run_sweep(&grid, &SweepOptions::default(), eval_cell);
         assert_eq!(resumed.to_json_string(), clean.to_json_string());
+        let journal = std::fs::read(&path).unwrap_or_default();
+        assert_eq!(journal.iter().filter(|&&b| b == b'\n').count(), 6);
+        assert_eq!(journal.last(), Some(&b'\n'));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_grid_produces_the_empty_report() {
         let grid: Vec<SweepCell<u64>> = Vec::new();
-        let out = run_sweep(&grid, &SweepOptions::default(), eval_cell);
+        let out = run_sweep(&grid, &SweepOptions::default(), probe);
         assert_eq!(out.to_json_string(), "[]\n");
         assert_eq!((out.executed, out.resumed), (0, 0));
     }
@@ -558,6 +489,6 @@ mod tests {
                 payload: 1u64,
             },
         ];
-        run_sweep(&grid, &SweepOptions::default(), eval_cell);
+        run_sweep(&grid, &SweepOptions::default(), probe);
     }
 }

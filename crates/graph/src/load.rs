@@ -13,8 +13,8 @@
 //! partials deterministically.
 
 use crate::graph::{EdgeId, Graph};
+use crate::par::par_ordered_map;
 use crate::store::{PathId, PathStore};
-use rayon::prelude::*;
 
 /// Per-edge fractional load, dense over `0..m`.
 ///
@@ -196,23 +196,18 @@ impl EdgeLoads {
             .step_by(chunk_len)
             .map(|lo| (lo, (lo + chunk_len).min(m)))
             .collect();
-        let pieces: Vec<Vec<f64>> = ranges
-            // Reviewed fan-out: this *is* one of the two ordered merge
-            // primitives the par_collect rule points everyone at — the
-            // chunks are disjoint edge ranges, reassembled in range order
-            // below, so the reduction is thread-count-invariant by
-            // construction. lint: allow(par_collect)
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let mut acc = vec![0.0f64; hi - lo];
-                for p in parts {
-                    for (a, b) in acc.iter_mut().zip(p.load[lo..hi].iter()) {
-                        *a += b;
-                    }
+        // Disjoint edge ranges, each summed in `parts` order and
+        // reassembled in range order below: thread-count-invariant by
+        // construction.
+        let pieces = par_ordered_map(&ranges, 2, |&(lo, hi)| {
+            let mut acc = vec![0.0f64; hi - lo];
+            for p in parts {
+                for (a, b) in acc.iter_mut().zip(p.load[lo..hi].iter()) {
+                    *a += b;
                 }
-                acc
-            })
-            .collect();
+            }
+            acc
+        });
         let mut load = Vec::with_capacity(m);
         for piece in pieces {
             load.extend_from_slice(&piece);

@@ -7,9 +7,10 @@
 //! amortizes over enough work). [`par_ordered_map`] is that shape,
 //! written once — the batch tree sweeps, the solver oracles, the FRT
 //! ensemble samplers, the Räcke load blocks, the α-sampler's fixed pair
-//! blocks, and the engine's template ensembles dispatch through it.
-//! (`EdgeLoads::par_merge`'s fixed edge-range reduction has a different
-//! shape and keeps its own specialized dispatch.)
+//! blocks, `EdgeLoads::par_merge`'s fixed edge ranges, the engine's
+//! template ensembles, the sweep scheduler's cells and the failure
+//! sweep's trials all dispatch through it — it is the workspace's one
+//! fan-out primitive outside the serve plane's per-batch shards.
 
 use crate::generators::mix_seed;
 use rayon::prelude::*;

@@ -117,7 +117,7 @@ mod tests {
 
     const OK: &str = r#"{
   "answer_on": { "crate": "ssor-serve", "rules": ["hot_panic", "hot_alloc"], "why": "per-request" },
-  "claim_and_eval": { "crate": "ssor-engine", "rules": ["hot_panic"], "why": "sweep inner loop" }
+  "eval_cell": { "crate": "ssor-engine", "rules": ["hot_panic"], "why": "per-cell sweep body" }
 }"#;
 
     #[test]
@@ -127,7 +127,7 @@ mod tests {
         let a = &e["answer_on"];
         assert_eq!(a.krate, "ssor-serve");
         assert_eq!(a.rules, vec!["hot_panic", "hot_alloc"]);
-        assert_eq!(e["claim_and_eval"].rules, vec!["hot_panic"]);
+        assert_eq!(e["eval_cell"].rules, vec!["hot_panic"]);
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Rule `par_collect`: parallel fan-out rides the workspace's ordered
-//! primitives, not raw rayon collection.
+//! Rule `par_collect`: parallel fan-out rides the workspace's one
+//! ordered primitive, not raw rayon collection.
 //!
 //! **Why.** Every guarantee the engine publishes — bit-identical
-//! reports at any thread count, steal order, or shard count — reduces
-//! to one discipline: parallel stages must merge their partials in a
-//! *fixed, input-derived order*. The workspace owns exactly two
-//! primitives that encode it — `ssor_graph::par_ordered_map`
-//! (input-order collect with a serial small-batch cutoff) and
-//! `EdgeLoads::par_merge` (fixed `parts[0], parts[1], ...` per-edge
-//! summation) — and `crates/graph/src/par.rs` is where that contract
-//! is implemented, tested, and documented once. A raw
+//! reports at any thread count, completion order, or shard count —
+//! reduces to one discipline: parallel stages must merge their partials
+//! in a *fixed, input-derived order*. The workspace owns exactly one
+//! primitive that encodes it, `ssor_graph::par_ordered_map` (input-order
+//! collect with a serial small-batch cutoff), and
+//! `crates/graph/src/par.rs` is where that contract is implemented,
+//! tested, and documented once. Reductions build on it rather than
+//! beside it: `EdgeLoads::par_merge` maps fixed edge ranges through it,
+//! and the sweep scheduler maps its cells through it. A raw
 //! `par_iter().collect()` sprinkled anywhere else may happen to be
 //! ordered today (rayon's indexed collect is), but it silently decays:
 //! someone chains `.filter`, switches to a fold, or collects into a
@@ -18,12 +19,8 @@
 //!
 //! **Rule.** The adapters `.par_iter()`, `.par_iter_mut()`,
 //! `.into_par_iter()`, `.par_bridge()`, and `.par_chunks(` may appear
-//! only in `crates/graph/src/par.rs`. The one specialized dispatch the
-//! par.rs docs name (`EdgeLoads::par_merge`'s fixed edge-range
-//! reduction) carries `// lint: allow(par_collect)` at its single
-//! fan-out line — the annotation marks exactly where a human verified
-//! the merge order, and any new site must either ride the primitives
-//! or earn the same review.
+//! only in `crates/graph/src/par.rs`. There is no allow annotation:
+//! a new fan-out shape belongs in that module, next to the primitive.
 
 use super::{Diagnostic, FileClass};
 use crate::scanner::SourceFile;
@@ -45,9 +42,6 @@ pub fn check(file: &SourceFile, class: &FileClass, out: &mut Vec<Diagnostic>) {
         return;
     }
     for (idx, line) in file.lines.iter().enumerate() {
-        if line.allows(NAME) {
-            continue;
-        }
         for adapter in ADAPTERS {
             if line.code.contains(adapter) {
                 out.push(Diagnostic {
@@ -56,8 +50,8 @@ pub fn check(file: &SourceFile, class: &FileClass, out: &mut Vec<Diagnostic>) {
                     rule: NAME,
                     message: format!(
                         "raw rayon fan-out `{}` outside crates/graph/src/par.rs: collection \
-                         order is unguarded there; ride ssor_graph::par_ordered_map or \
-                         EdgeLoads::par_merge (thread-count-invariant merges)",
+                         order is unguarded there; ride ssor_graph::par_ordered_map, the one \
+                         thread-count-invariant fan-out",
                         adapter.trim_end_matches('(')
                     ),
                 });
@@ -87,11 +81,12 @@ mod tests {
     }
 
     #[test]
-    fn allow_marks_a_reviewed_merge() {
-        let src = "// lint: allow(par_collect)\nlet p: Vec<_> = r.par_iter().map(f).collect();\n";
-        let f = scan_source("crates/graph/src/load.rs", src);
+    fn an_allow_annotation_does_not_exempt_a_raw_fan_out() {
+        let src =
+            format!("// lint: allow({NAME})\nlet p: Vec<_> = r.par_iter().map(f).collect();\n");
+        let f = scan_source("crates/graph/src/load.rs", &src);
         let mut out = Vec::new();
         check(&f, &FileClass::of("crates/graph/src/load.rs"), &mut out);
-        assert!(out.is_empty());
+        assert_eq!(out.len(), 1);
     }
 }

@@ -1,9 +1,9 @@
 //! Rule `forbid_unsafe`: every crate root forbids `unsafe`.
 //!
 //! **Why.** The workspace's concurrency story (epoch-swapped route
-//! tables, the work-stealing sweep scheduler, rayon fan-outs) is built
+//! tables, the sweep scheduler's journal, rayon fan-outs) is built
 //! entirely from safe primitives — `Mutex` + `AtomicU64` epochs,
-//! bounded channels, scoped threads — precisely so that the
+//! scoped threads — precisely so that the
 //! determinism arguments stay arguments about *logic*, never about
 //! memory models. `#![forbid(unsafe_code)]` (unlike `deny`) cannot be
 //! overridden by an inner `#[allow]`, so its presence in the crate

@@ -1,5 +1,5 @@
-// Fixture: fan-out through the blessed primitives, plus a reviewed
-// raw adapter behind the allow annotation.
+// Fixture: fan-out through the one ordered primitive, and reductions
+// built on it.
 
 fn fan_out(items: &[Item]) -> Vec<Out> {
     par_ordered_map(items, 2, process)
@@ -9,11 +9,6 @@ fn reduce(parts: &[EdgeLoads]) -> EdgeLoads {
     EdgeLoads::par_merge(parts)
 }
 
-fn reviewed(ranges: &[(usize, usize)]) -> Vec<Vec<f64>> {
-    ranges
-        // Disjoint ranges reassembled in range order below — reviewed,
-        // thread-count-invariant. lint: allow(par_collect)
-        .par_iter()
-        .map(fill)
-        .collect()
+fn ranges(ranges: &[(usize, usize)]) -> Vec<Vec<f64>> {
+    par_ordered_map(ranges, 2, fill)
 }

@@ -1,4 +1,4 @@
-// Fixture: raw rayon fan-outs outside the ordered-merge primitives.
+// Fixture: raw rayon fan-outs outside the one ordered primitive.
 
 fn fan_out(items: &[Item]) -> Vec<Out> {
     items.par_iter().map(process).collect()

@@ -1,7 +1,8 @@
-//! Acceptance harness for the sweep layer (ISSUE 6): a **1000-cell
-//! failure sweep** must produce bit-identical JSON at 1, 2, and 8
-//! workers, and again after a mid-run kill + resume — with the atomic
-//! run counter proving no cell ever ran twice.
+//! Acceptance harness for the sweep layer: a **1000-cell failure
+//! sweep** must produce bit-identical JSON at 1, 2, and 8 workers
+//! (pinned through `RAYON_NUM_THREADS`), again after a mid-run kill +
+//! resume, and again on a second resume that finds every cell journaled
+//! — with the atomic run counter proving no cell ever ran twice.
 //!
 //! ```text
 //! cargo run --release --example sweep_resume
@@ -12,12 +13,19 @@
 //! and every cell's bytes are a pure function of its identity. The
 //! "kill" is simulated the way a real crash lands on the journal: the
 //! file is cut mid-line, leaving 400 complete records plus a torn tail
-//! that the resume must discard and re-run.
+//! that the resume must cut off and re-run.
 
 use ssor::engine::sweep::{cells, run_sweep, SweepOptions};
 use ssor::engine::{DemandSpec, PathSystemCache, Pipeline, TemplateSpec, TopologySpec};
 use ssor::flow::SolveOptions;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Pins the sweep's worker count: the scheduler follows the ambient
+/// rayon width, and this single-threaded harness owns its environment.
+fn pin_workers(threads: usize) {
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    assert_eq!(rayon::current_num_threads(), threads);
+}
 
 const CELLS: usize = 1000;
 const KEEP_LINES: usize = 400;
@@ -39,7 +47,8 @@ fn main() {
     let opts = SweepOptions::default().seed(0xACCE97);
 
     println!("sweep_resume: {CELLS}-cell failure sweep, bit-identical across workers + resume");
-    let baseline = run_sweep(&grid, &opts.clone().threads(1), eval);
+    pin_workers(1);
+    let baseline = run_sweep(&grid, &opts, eval);
     let baseline_json = baseline.to_json_string();
     assert_eq!(ran.swap(0, Ordering::Relaxed), CELLS);
     println!(
@@ -49,7 +58,8 @@ fn main() {
     );
 
     for threads in [2usize, 8] {
-        let got = run_sweep(&grid, &opts.clone().threads(threads), eval);
+        pin_workers(threads);
+        let got = run_sweep(&grid, &opts, eval);
         assert_eq!(ran.swap(0, Ordering::Relaxed), CELLS);
         assert_eq!(
             got.to_json_string(),
@@ -64,7 +74,9 @@ fn main() {
     let journal =
         std::env::temp_dir().join(format!("ssor_sweep_resume_{}.journal", std::process::id()));
     std::fs::remove_file(&journal).ok();
-    run_sweep(&grid, &opts.clone().threads(8).journal(&journal), eval);
+    let opts = opts.journal(&journal);
+    pin_workers(8);
+    run_sweep(&grid, &opts, eval);
     assert_eq!(ran.swap(0, Ordering::Relaxed), CELLS);
     let bytes = std::fs::read(&journal).unwrap();
     let mut cut = 0;
@@ -87,7 +99,7 @@ fn main() {
         bytes.len()
     );
 
-    let resumed = run_sweep(&grid, &opts.clone().threads(8).journal(&journal), eval);
+    let resumed = run_sweep(&grid, &opts, eval);
     assert_eq!(
         (resumed.executed, resumed.resumed),
         (CELLS - KEEP_LINES, KEEP_LINES),
@@ -103,10 +115,30 @@ fn main() {
         baseline_json,
         "resumed report bytes differ from the uninterrupted run"
     );
-    std::fs::remove_file(&journal).ok();
     println!(
         "  [resume]    {} re-ran, {} resumed, bytes identical; no cell ran twice",
         resumed.executed, resumed.resumed
     );
+
+    // A second resume must find every cell journaled exactly once: the
+    // first resume cut the torn tail before appending its re-runs.
+    let again = run_sweep(&grid, &opts, eval);
+    assert_eq!(
+        (again.executed, again.resumed),
+        (0, CELLS),
+        "second resume must find every cell journaled"
+    );
+    assert_eq!(
+        ran.swap(0, Ordering::Relaxed),
+        0,
+        "second resume evaluated a cell"
+    );
+    assert_eq!(
+        again.to_json_string(),
+        baseline_json,
+        "second resume's report bytes differ from the uninterrupted run"
+    );
+    std::fs::remove_file(&journal).ok();
+    println!("  [resume 2]  0 re-ran, {CELLS} resumed, bytes identical");
     println!("OK");
 }

@@ -1,17 +1,17 @@
-//! Steal-order invariance of the work-stealing sweep scheduler.
+//! Completion-order invariance of the sweep scheduler.
 //!
 //! `ssor_engine::sweep` promises that the assembled report is a pure
 //! function of `(cells, master_seed)` — bit-identical at every worker
-//! count, under every steal order and input order, and across any
-//! kill/resume split of the journal. These tests pin that promise on the
-//! two real consumers named in the issue (the failure sweep and an
-//! α-grid) plus a property test over random subset/shuffle/resume
-//! schedules.
+//! count, in every completion order and input order, and across any
+//! kill/resume split of the journal. These tests pin that promise on its
+//! two real consumers (the failure sweep and an α-grid), on the journal
+//! itself (whole lines under concurrent appends, torn tails cut before
+//! the next append), plus a property test over random
+//! subset/shuffle/resume schedules.
 //!
-//! The thread sweeps run both ways the scheduler can be sized: through
-//! the ambient `RAYON_NUM_THREADS` override (the path CI's 2- and
-//! 8-thread jobs exercise) and through `SweepOptions::threads` (the path
-//! `run_all` uses).
+//! The scheduler has one sizing knob, the ambient `RAYON_NUM_THREADS`
+//! (the path CI's 2- and 8-thread jobs exercise), so every thread sweep
+//! here pins it under [`env_lock`].
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,6 +33,22 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn env_lock() -> MutexGuard<'static, ()> {
     ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with the ambient rayon width pinned to `threads`; callers
+/// hold [`env_lock`].
+fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    // If the override stopped being honored, a thread sweep would
+    // compare identical runs and pass vacuously.
+    assert_eq!(
+        rayon::current_num_threads(),
+        threads,
+        "worker-count override not honored; thread sweep would be vacuous"
+    );
+    let out = f();
+    std::env::remove_var("RAYON_NUM_THREADS");
+    out
 }
 
 fn tmp_journal(name: &str) -> PathBuf {
@@ -60,37 +76,17 @@ fn failure_pipeline() -> Pipeline {
 fn failure_sweep_is_invariant_under_the_ambient_thread_count() {
     let _guard = env_lock();
     let p = failure_pipeline();
-    let mut reports = Vec::new();
-    for threads in [1usize, 2, 8] {
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-        // If the override stopped being honored, the sweep below would
-        // compare three identical runs and pass vacuously.
-        assert_eq!(
-            rayon::current_num_threads(),
-            threads,
-            "worker-count override not honored; thread sweep would be vacuous"
-        );
-        let cache = PathSystemCache::new();
-        let report = p.failure_sweep(&cache, 2, 4);
-        reports.push(serde_json::to_string(&report).unwrap());
-        std::env::remove_var("RAYON_NUM_THREADS");
-    }
+    let reports: Vec<String> = [1usize, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            at_threads(threads, || {
+                let cache = PathSystemCache::new();
+                serde_json::to_string(&p.failure_sweep(&cache, 2, 4)).unwrap()
+            })
+        })
+        .collect();
     assert_eq!(reports[0], reports[1], "1 vs 2 threads");
     assert_eq!(reports[0], reports[2], "1 vs 8 threads");
-}
-
-#[test]
-fn failure_sweep_is_invariant_under_pinned_worker_counts() {
-    let _guard = env_lock();
-    let p = failure_pipeline();
-    let mut reports = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let cache = PathSystemCache::new();
-        let report = p.failure_sweep_sharded(&cache, 2, 4, Some(threads));
-        reports.push(serde_json::to_string(&report).unwrap());
-    }
-    assert_eq!(reports[0], reports[1], "1 vs 2 workers");
-    assert_eq!(reports[0], reports[2], "1 vs 8 workers");
 }
 
 #[test]
@@ -100,19 +96,21 @@ fn alpha_grid_sweep_is_invariant_across_thread_counts() {
     let run_grid = |threads: usize| -> String {
         let grid_cells = grid(&scenarios, &[1, 2, 3], 2);
         let cache = PathSystemCache::new();
-        let outcome = run_sweep(
-            &grid_cells,
-            &SweepOptions::default().seed(5).threads(threads),
-            |cell, cell_seed| {
-                cell.payload
-                    .scenario
-                    .pipeline()
-                    .alpha(cell.payload.alpha)
-                    .seed(cell_seed)
-                    .solve_options(SolveOptions::with_eps(0.15))
-                    .run(&cache)
-            },
-        );
+        let outcome = at_threads(threads, || {
+            run_sweep(
+                &grid_cells,
+                &SweepOptions::default().seed(5),
+                |cell, cell_seed| {
+                    cell.payload
+                        .scenario
+                        .pipeline()
+                        .alpha(cell.payload.alpha)
+                        .seed(cell_seed)
+                        .solve_options(SolveOptions::with_eps(0.15))
+                        .run(&cache)
+                },
+            )
+        });
         assert_eq!(outcome.executed, 6);
         outcome.to_json_string()
     };
@@ -141,15 +139,17 @@ fn resume_after_journal_truncation_never_reruns_a_cell() {
         p.clone().seed(cell_seed).failure_sweep(&cache, 1, 1)
     };
     let grid_cells = cells((0..24u64).collect::<Vec<_>>());
-    let opts = SweepOptions::default().seed(9).threads(2);
+    let sweep = |opts: &SweepOptions| at_threads(2, || run_sweep(&grid_cells, opts, eval));
+    let opts = SweepOptions::default().seed(9);
 
-    let uninterrupted = run_sweep(&grid_cells, &opts, eval);
+    let uninterrupted = sweep(&opts);
     assert_eq!(ran.swap(0, Ordering::Relaxed), 24);
 
     // Full journaled run, then "kill" it mid-write: keep the first 10
     // complete lines plus a torn prefix of line 11.
     let path = tmp_journal("truncate");
-    run_sweep(&grid_cells, &opts.clone().journal(&path), eval);
+    let opts = opts.journal(&path);
+    sweep(&opts);
     assert_eq!(ran.swap(0, Ordering::Relaxed), 24);
     let bytes = std::fs::read(&path).unwrap();
     let mut keep = 0;
@@ -167,7 +167,7 @@ fn resume_after_journal_truncation_never_reruns_a_cell() {
     let torn_end = (keep + (bytes[keep..].iter().position(|&b| b == b'\n').unwrap())) - 3;
     std::fs::write(&path, &bytes[..torn_end]).unwrap();
 
-    let resumed = run_sweep(&grid_cells, &opts.clone().journal(&path), eval);
+    let resumed = sweep(&opts);
     assert_eq!((resumed.executed, resumed.resumed), (14, 10));
     // The atomic run counter proves no journaled cell was evaluated twice.
     assert_eq!(ran.swap(0, Ordering::Relaxed), 14);
@@ -179,8 +179,61 @@ fn resume_after_journal_truncation_never_reruns_a_cell() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn torn_tail_survives_a_second_resume() {
+    // A kill that tears the journal's last line, then two resumes: the
+    // first re-runs the torn cell, the second must find every cell
+    // journaled exactly once and reassemble the clean bytes. Appending
+    // the re-run cell onto the torn fragment instead would leave a
+    // corrupt line for the second resume to splice into the report.
+    let grid_cells = cells((0..6u64).collect::<Vec<_>>());
+    let clean = run_sweep(&grid_cells, &SweepOptions::default().seed(3), probe);
+    let path = tmp_journal("double_resume");
+    let opts = SweepOptions::default().seed(3).journal(&path);
+    run_sweep(&grid_cells, &opts, probe);
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes.pop(), Some(b'\n'));
+    std::fs::write(&path, &bytes).unwrap();
+
+    let first = run_sweep(&grid_cells, &opts, probe);
+    assert_eq!((first.executed, first.resumed), (1, 5));
+    let second = run_sweep(&grid_cells, &opts, probe);
+    std::fs::remove_file(&path).ok();
+    assert_eq!((second.executed, second.resumed), (0, 6));
+    assert_eq!(second.to_json_string(), clean.to_json_string());
+}
+
+#[test]
+fn concurrent_appends_keep_one_whole_journal_line_per_cell() {
+    let _guard = env_lock();
+    let grid_cells = cells((0..200u64).collect::<Vec<_>>());
+    let path = tmp_journal("concurrent");
+    let opts = SweepOptions::default().seed(21).journal(&path);
+    let (fresh, resumed) = at_threads(8, || {
+        let fresh = run_sweep(&grid_cells, &opts, probe);
+        (fresh, run_sweep(&grid_cells, &opts, probe))
+    });
+    let journal = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    assert!(journal.ends_with('\n'), "journal ends in a torn line");
+    let mut ids: Vec<u64> = journal
+        .lines()
+        .map(|line| {
+            let (id, json) = line.split_once('\t').expect("line without a tab");
+            let id: u64 = id.parse().unwrap();
+            assert_eq!(json, fresh.records[id as usize].json, "line {line:?}");
+            id
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..200).collect::<Vec<u64>>(), "one line per cell");
+    assert_eq!((resumed.executed, resumed.resumed), (0, 200));
+    assert_eq!(resumed.to_json_string(), fresh.to_json_string());
+}
+
 /// Pure, cheap evaluator for the schedule property test: any dependence
-/// on steal order or resume split would show up as differing bytes.
+/// on completion order or resume split would show up as differing bytes.
 #[derive(Serialize)]
 struct ProbeOut {
     payload: u64,
@@ -203,11 +256,10 @@ proptest! {
         split in 0usize..=24,
         threads in 1usize..5,
     ) {
+        let _guard = env_lock();
         let grid_cells = cells((0..24u64).map(|x| x * 5 + 1).collect::<Vec<_>>());
-        // All worker counts below are pinned explicitly, so this property
-        // never reads the process environment and needs no ENV_LOCK.
-        let opts = SweepOptions::default().seed(perm_seed).threads(threads);
-        let full = run_sweep(&grid_cells, &opts.clone().threads(1), probe);
+        let opts = SweepOptions::default().seed(perm_seed);
+        let full = at_threads(1, || run_sweep(&grid_cells, &opts, probe));
 
         let mut shuffled = grid_cells.clone();
         let mut rng = StdRng::seed_from_u64(perm_seed);
@@ -215,8 +267,11 @@ proptest! {
             shuffled.swap(i, rng.gen_range(0..i + 1));
         }
         let path = tmp_journal("prop");
-        let first = run_sweep(&shuffled[..split], &opts.clone().journal(&path), probe);
-        let merged = run_sweep(&shuffled, &opts.clone().journal(&path), probe);
+        let opts = opts.journal(&path);
+        let (first, merged) = at_threads(threads, || {
+            let first = run_sweep(&shuffled[..split], &opts, probe);
+            (first, run_sweep(&shuffled, &opts, probe))
+        });
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(first.executed, split);
