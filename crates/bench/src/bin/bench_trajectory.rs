@@ -16,7 +16,8 @@
 //!   instead of biasing whichever ran last;
 //! * the recorded statistic is the **median** of an odd number of
 //!   rounds, with min/max kept for spread;
-//! * every record carries `cores`, the machine fact needed to read it.
+//! * every record carries `cores` and `commit`, the machine and code
+//!   facts needed to read it.
 //!
 //! `--smoke` swaps in tiny specs (seconds, for CI liveness + JSON-shape
 //! checking); the committed records always come from a full run:
@@ -59,12 +60,33 @@ struct BenchGroup {
     mode: String,
     rounds: usize,
     cores: usize,
+    commit: String,
     benches: Vec<BenchRow>,
 }
 
 /// Worker cores visible to this process — stamped into every record.
 fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// The checked-out commit (`.git/HEAD`, following one `ref:`) — stamped
+/// into every record; "unknown" outside a git checkout. Read from the
+/// files, without running git, like perfbench's `facts` record. A run
+/// on a dirty tree records the commit the change sits on.
+fn commit() -> String {
+    let git = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
+    let head = std::fs::read_to_string(git.join("HEAD")).unwrap_or_default();
+    let head = head.trim();
+    let id = match head.strip_prefix("ref: ") {
+        Some(r) => std::fs::read_to_string(git.join(r)).unwrap_or_default(),
+        None => head.to_string(),
+    };
+    let id = id.trim();
+    if id.len() == 40 && id.bytes().all(|b| b.is_ascii_hexdigit()) {
+        id.to_string()
+    } else {
+        "unknown".to_string()
+    }
 }
 
 type Bench<'a> = (String, Box<dyn FnMut() + 'a>);
@@ -115,6 +137,7 @@ fn run_group(group: &str, mode: &str, rounds: usize, mut benches: Vec<Bench<'_>>
         mode: mode.to_string(),
         rounds,
         cores,
+        commit: commit(),
         benches: rows,
     };
     match save_json_at_root(&format!("BENCH_{group}"), &record) {
@@ -359,6 +382,7 @@ struct ServeGroup {
     mode: String,
     rounds: usize,
     cores: usize,
+    commit: String,
     queries_per_batch: usize,
     alpha: usize,
     benches: Vec<ServeRow>,
@@ -478,6 +502,7 @@ fn run_serve_group(smoke: bool) {
         mode: mode.to_string(),
         rounds,
         cores,
+        commit: commit(),
         queries_per_batch: q as usize,
         alpha: ALPHA,
         benches: rows,

@@ -16,8 +16,8 @@
 //!
 //! Oracle batches are embarrassingly parallel — the paper's pipeline
 //! samples and routes pairs independently (Definition 5.2), and a
-//! Dijkstra tree per source is pure computation. [`AllPathsOracle`]
-//! groups queries by source and fans the per-source trees out over rayon
+//! Dijkstra run per source is pure computation. [`AllPathsOracle`]
+//! groups queries by source and fans the per-source runs out over rayon
 //! workers; results are merged back **in source-index order** and
 //! interned serially, so the returned ids, costs, and the arena's
 //! interning order are bit-identical to a serial sweep at any worker
@@ -25,6 +25,19 @@
 //! Small batches skip the fan-out entirely (the shim spawns threads per
 //! call, which only amortizes over enough Dijkstra work); the cutoff
 //! affects wall-clock only, never results.
+//!
+//! # Settle-set exit
+//!
+//! A source's Dijkstra stops as soon as the last of its demanded targets
+//! is popped (the *settle set* of
+//! [`ssor_graph::shortest_path::dijkstra_trees_csr_settle_batch`]); a
+//! permutation demand asks one target per source, so a run settles about
+//! half the graph instead of all of it. The answers are the full tree's,
+//! bit for bit: a popped target's distance and parent chain are final,
+//! and the pop order is fixed by the `(dist, vertex)` total order, so the
+//! truncated run is a prefix of the full one. The path is walked up the
+//! parent chain into reused buffers and interned from the slices
+//! (`PathStore::intern_parts`), never built as an owned `Path`.
 //!
 //! # Unreachable pairs
 //!
@@ -37,8 +50,8 @@
 //! `MinCongSolution::stranded`).
 
 use crate::candidates::Candidates;
-use ssor_graph::shortest_path::{dijkstra_trees_csr_batch, dijkstra_trees_csr_view_batch, SpTree};
-use ssor_graph::{par_ordered_map, Csr, Graph, PathId, PathStore, VertexId};
+use ssor_graph::shortest_path::dijkstra_trees_csr_settle_batch;
+use ssor_graph::{par_ordered_map, Csr, EdgeId, EdgeView, Graph, PathId, PathStore, VertexId};
 use std::collections::BTreeMap;
 
 /// Oracle answering "cheapest usable path per pair" under edge weights.
@@ -111,26 +124,30 @@ impl PathOracle for CandidateOracle<'_> {
 /// optional edge-usability mask as configuration.
 ///
 /// Queries are grouped by source so each distinct source costs one
-/// Dijkstra run over a CSR adjacency built once for the whole solve; the
-/// per-source trees fan out over rayon workers and merge back in
+/// Dijkstra run over a CSR adjacency built once for the whole solve,
+/// stopped as soon as that source's last demanded target is settled; the
+/// per-source runs fan out over rayon workers and merge back in
 /// deterministic source order (see the module docs). With a mask
 /// ([`AllPathsOracle::masked`]) dead edges get infinite length in the
 /// same sweep — edge ids and traversal order stay identical to the
 /// unmasked oracle, no graph is rebuilt, and no ids shift.
 #[derive(Debug)]
-pub struct AllPathsOracle<'a> {
-    graph: &'a Graph,
+pub struct AllPathsOracle {
     csr: Csr,
     usable: Option<Vec<bool>>,
+    /// Parent-chain walk buffers, reused across pairs and calls.
+    verts: Vec<VertexId>,
+    edges: Vec<EdgeId>,
 }
 
-impl<'a> AllPathsOracle<'a> {
+impl AllPathsOracle {
     /// Creates an oracle over the whole (intact) graph.
-    pub fn new(graph: &'a Graph) -> Self {
+    pub fn new(graph: &Graph) -> Self {
         AllPathsOracle {
-            graph,
             csr: graph.csr(),
             usable: None,
+            verts: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -142,17 +159,16 @@ impl<'a> AllPathsOracle<'a> {
     /// # Panics
     ///
     /// Panics if `usable.len() != graph.m()`.
-    pub fn masked(graph: &'a Graph, usable: &[bool]) -> Self {
+    pub fn masked(graph: &Graph, usable: &[bool]) -> Self {
         assert_eq!(usable.len(), graph.m(), "one mask bit per edge required");
         AllPathsOracle {
-            graph,
-            csr: graph.csr(),
             usable: Some(usable.to_vec()),
+            ..AllPathsOracle::new(graph)
         }
     }
 }
 
-impl PathOracle for AllPathsOracle<'_> {
+impl PathOracle for AllPathsOracle {
     fn best_paths(
         &mut self,
         pairs: &[(VertexId, VertexId)],
@@ -163,30 +179,40 @@ impl PathOracle for AllPathsOracle<'_> {
         for (i, &(s, _)) in pairs.iter().enumerate() {
             by_source.entry(s).or_default().push(i);
         }
-        let sources: Vec<(VertexId, Vec<usize>)> = by_source.into_iter().collect();
-        // Fan the per-source trees out over the shared batch helpers in
-        // `ssor_graph::shortest_path`, which return them in source-index
-        // order — that ordered collect IS the deterministic merge. The
-        // unmasked arm stays on the statically-dispatched batch
-        // (monomorphized `FullTopology`, no per-edge vtable call on the
-        // solver's hottest loop); a mask rides along as a `dyn EdgeView`
-        // only when one actually exists. Both wrap the one generic tree
-        // core, so damaged and intact sweeps cannot drift.
-        let srcs: Vec<VertexId> = sources.iter().map(|&(s, _)| s).collect();
-        let trees: Vec<SpTree> = match &self.usable {
-            None => dijkstra_trees_csr_batch(&self.csr, &srcs, &|e| w[e as usize]),
-            Some(mask) => dijkstra_trees_csr_view_batch(&self.csr, &srcs, &|e| w[e as usize], mask),
-        };
-        // Serial path extraction + interning in source order, pair-index
-        // order within each source — the arena's id assignment matches a
-        // serial sweep exactly.
+        // Each source settles only its demanded targets. The batch helper
+        // returns the runs in query (= ascending source) order — that
+        // ordered collect IS the deterministic merge. A mask rides along
+        // as a `dyn EdgeView` only when one exists; both arms run the one
+        // generic Dijkstra core, so damaged and intact sweeps cannot drift.
+        let queries: Vec<(VertexId, Vec<VertexId>)> = by_source
+            .iter()
+            .map(|(&s, idxs)| (s, idxs.iter().map(|&i| pairs[i].1).collect()))
+            .collect();
+        let view = self.usable.as_ref().map(|m| m as &(dyn EdgeView + Sync));
+        let trees = dijkstra_trees_csr_settle_batch(&self.csr, &queries, &|e| w[e as usize], view);
+        // Serial interning in source order, pair-index order within each
+        // source — the arena's id assignment matches a serial sweep
+        // exactly. Each path is walked target-to-source up the parent
+        // chain into the reused buffers and interned from the slices.
         let mut out: Vec<Option<(PathId, f64)>> = vec![None; pairs.len()];
-        for ((_, idxs), tree) in sources.iter().zip(trees.iter()) {
-            for &i in idxs {
-                let t = pairs[i].1;
-                out[i] = tree
-                    .path_to(self.graph, t)
-                    .map(|p| (store.intern(&p), tree.dist_to(t)));
+        for ((idxs, (_, targets)), tree) in by_source.values().zip(&queries).zip(&trees) {
+            for (&i, &t) in idxs.iter().zip(targets) {
+                let cost = tree.dist_to(t);
+                if cost.is_infinite() {
+                    continue;
+                }
+                self.verts.clear();
+                self.edges.clear();
+                self.verts.push(t);
+                let mut cur = t;
+                while let Some((p, e)) = tree.parent[cur as usize] {
+                    self.edges.push(e);
+                    self.verts.push(p);
+                    cur = p;
+                }
+                self.verts.reverse();
+                self.edges.reverse();
+                out[i] = Some((store.intern_parts(&self.verts, &self.edges), cost));
             }
         }
         out

@@ -317,13 +317,6 @@ impl PairState {
     }
 }
 
-/// Softmax value `max + ln(sum exp(beta*(load - max)))/beta` of edge loads.
-fn softmax(loads: &[f64], beta: f64) -> f64 {
-    let mx = loads.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let s: f64 = loads.iter().map(|&l| ((l - mx) * beta).exp()).sum();
-    mx + s.ln() / beta
-}
-
 /// Materializes the per-pair convex combinations into a [`Routing`],
 /// dropping weights at or below [`WEIGHT_PRUNE`].
 fn assemble_routing(states: &[PairState], store: &PathStore) -> Routing {
@@ -385,7 +378,10 @@ fn frank_wolfe(
     let mut prev_ub = f64::INFINITY;
     let mut converged = false;
 
+    // Per-iteration buffers, allocated once per solve.
     let mut loads_y = EdgeLoads::zeros(m);
+    let mut w = vec![0.0; m];
+    let mut best: Vec<(PathId, f64)> = Vec::with_capacity(pairs.len());
     let mut iterations = 0;
     for it in 0..opts.max_iters {
         iterations = it + 1;
@@ -411,15 +407,19 @@ fn frank_wolfe(
         let beta = (m as f64).ln().max(1.0) / (0.25 * stage_eps * ub);
         // Softmax gradient weights (scaled to max 1 for numerical safety).
         let mx = ub;
-        let w: Vec<f64> = loads.iter().map(|l| ((l - mx) * beta).exp()).collect();
+        for (wi, l) in w.iter_mut().zip(loads.iter()) {
+            *wi = ((l - mx) * beta).exp();
+        }
         let wsum: f64 = w.iter().sum();
 
         // Best response under w.
-        let best = acc.time_oracle(|| oracle.best_paths(&pairs, &w, store));
-        let best: Vec<(PathId, f64)> = best
-            .into_iter()
-            .map(|r| r.expect("oracle lost a previously routed pair"))
-            .collect();
+        let found = acc.time_oracle(|| oracle.best_paths(&pairs, &w, store));
+        best.clear();
+        best.extend(
+            found
+                .into_iter()
+                .map(|r| r.expect("oracle lost a previously routed pair")),
+        );
 
         // Dual certificate from these weights.
         let num: f64 = best
@@ -448,14 +448,20 @@ fn frank_wolfe(
             loads_y.add_path(store, id, *dem);
         }
 
-        // Exact line search on the softmax potential (convex in gamma).
+        // Exact line search on the softmax potential (convex in gamma):
+        // `max + ln(sum exp(beta*(mixed - max)))/beta` of the mixed loads
+        // `(1-gamma)*loads + gamma*loads_y`, evaluated in place — one pass
+        // for the max, one for the exp sum, no mixed vector.
         let phi = |gamma: f64| -> f64 {
-            let mixed: Vec<f64> = loads
-                .iter()
-                .zip(loads_y.iter())
-                .map(|(a, b)| (1.0 - gamma) * a + gamma * b)
-                .collect();
-            softmax(&mixed, beta)
+            let mixed = || {
+                loads
+                    .iter()
+                    .zip(loads_y.iter())
+                    .map(move |(a, b)| (1.0 - gamma) * a + gamma * b)
+            };
+            let mx = mixed().fold(f64::NEG_INFINITY, f64::max);
+            let sum: f64 = mixed().map(|l| ((l - mx) * beta).exp()).sum();
+            mx + sum.ln() / beta
         };
         let mut lo = 0.0f64;
         let mut hi = 1.0f64;

@@ -231,7 +231,10 @@ proptest! {
     // The rayon-parallel batch oracle promises results bitwise-equal to a
     // serial per-source sweep — ids, costs, and the arena's interning
     // order — on any weighted multigraph, masked or not, at whatever
-    // worker count the test runs under.
+    // worker count the test runs under. The reference builds each
+    // source's *full* tree, so this also fences the oracle's settle-set
+    // exit (each run stops at its source's last demanded target; a
+    // source here often has several targets, some cut off by the mask).
     #[test]
     fn parallel_batch_oracle_matches_serial_reference(
         (g, pairs, weights, mask_seed) in multigraph().prop_flat_map(|g| {

@@ -16,12 +16,26 @@
 //! damaged-topology solves cannot drift from intact ones.
 //!
 //! Multi-source sweeps (all-pairs metrics, per-source baselines, the
-//! batch oracle) should use the *batch* helpers — [`bfs_trees_csr_batch`]
-//! and [`dijkstra_trees_csr_batch`] / [`dijkstra_trees_csr_view_batch`] —
+//! batch oracle) should use the *batch* helpers — [`bfs_trees_csr_batch`],
+//! [`dijkstra_trees_csr_batch`] and [`dijkstra_trees_csr_settle_batch`] —
 //! which fan the per-source trees out over rayon workers and return them
 //! in source-index order, so results are bit-identical to a serial sweep
 //! at any thread count. Small batches stay serial (the cutoff moves
 //! wall-clock only, never bits).
+//!
+//! # Settle sets
+//!
+//! A caller that needs a few targets per source, not the whole tree,
+//! passes them as a *settle set* ([`dijkstra_trees_csr_settle_batch`]):
+//! the one Dijkstra core returns as soon as the last target is popped
+//! from the heap. The bits at the targets cannot change. A popped
+//! vertex's distance is final and so is its parent chain, whose vertices
+//! were all popped before it; and the pop sequence is fixed by the
+//! `(dist, vertex)` total order, so the early-exit run is a prefix of the
+//! full run. Unreachable targets are never popped: a settle set holding
+//! one drains the heap and the target comes back at `f64::INFINITY`. The
+//! offline-OPT oracle settles each source's demanded targets — one per
+//! source for a permutation — instead of the whole graph.
 
 use crate::csr::{Adjacency, Csr, EdgeView, FullTopology};
 use crate::graph::{EdgeId, Graph, VertexId};
@@ -166,24 +180,54 @@ impl Ord for HeapEntry {
 /// edge ids, traversal order, and tie-breaking stay identical to the
 /// unmasked sweep. Vertices cut off by the view end with
 /// `dist == f64::INFINITY`, exactly like genuinely unreachable ones.
+///
+/// With a settle set (`settle == Some(targets)`) the sweep returns as
+/// soon as the last target is popped; `None` settles every reachable
+/// vertex. The module docs (*Settle sets*) give why the targets' bits
+/// match the full sweep's.
 fn dijkstra_tree_in<A: Adjacency + ?Sized, V: EdgeView + ?Sized>(
     g: &A,
     s: VertexId,
     len: &dyn Fn(EdgeId) -> f64,
     view: &V,
+    settle: Option<&[VertexId]>,
 ) -> SpTree {
     let n = g.n();
     let mut dist = vec![f64::INFINITY; n];
     let mut parent = vec![None; n];
+    // `pending[v]`: `v` is a target not popped yet; `left` counts them.
+    // Without a settle set `pending` stays empty and `left` never drops.
+    let mut pending = Vec::new();
+    let mut left = usize::MAX;
+    if let Some(targets) = settle {
+        pending = vec![false; n];
+        left = 0;
+        for &t in targets {
+            if let Some(p) = pending.get_mut(t as usize).filter(|p| !**p) {
+                *p = true;
+                left += 1;
+            }
+        }
+    }
     let mut heap = BinaryHeap::new();
     dist[s as usize] = 0.0;
     heap.push(HeapEntry {
         dist: 0.0,
         vertex: s,
     });
-    while let Some(HeapEntry { dist: d, vertex: v }) = heap.pop() {
+    while left > 0 {
+        let Some(HeapEntry { dist: d, vertex: v }) = heap.pop() else {
+            break;
+        };
         if d > dist[v as usize] {
             continue;
+        }
+        if let Some(p) = pending.get_mut(v as usize).filter(|p| **p) {
+            *p = false;
+            left -= 1;
+            if left == 0 {
+                break;
+            }
         }
         for a in g.arcs(v) {
             let w = if view.usable(a.edge) {
@@ -220,14 +264,14 @@ fn dijkstra_tree_in<A: Adjacency + ?Sized, V: EdgeView + ?Sized>(
 ///
 /// Panics (in debug builds) if a negative length is encountered.
 pub fn dijkstra_tree(g: &Graph, s: VertexId, len: &dyn Fn(EdgeId) -> f64) -> SpTree {
-    dijkstra_tree_in(g, s, len, &FullTopology)
+    dijkstra_tree_in(g, s, len, &FullTopology, None)
 }
 
 /// [`dijkstra_tree`] over a pre-built [`Csr`] view (identical traversal
 /// order); build the CSR once when running many single-source solves —
 /// the offline-OPT oracle runs one per source per Frank–Wolfe iteration.
 pub fn dijkstra_tree_csr(g: &Csr, s: VertexId, len: &dyn Fn(EdgeId) -> f64) -> SpTree {
-    dijkstra_tree_in(g, s, len, &FullTopology)
+    dijkstra_tree_in(g, s, len, &FullTopology, None)
 }
 
 /// [`dijkstra_tree_csr`] restricted to the edges an [`EdgeView`] marks
@@ -243,7 +287,7 @@ pub fn dijkstra_tree_csr_view(
     len: &dyn Fn(EdgeId) -> f64,
     view: &dyn EdgeView,
 ) -> SpTree {
-    dijkstra_tree_in(g, s, len, view)
+    dijkstra_tree_in(g, s, len, view, None)
 }
 
 /// Below this many sources a batch tree sweep stays serial: a single
@@ -275,19 +319,34 @@ pub fn dijkstra_trees_csr_batch(
     sources: &[VertexId],
     len: &(dyn Fn(EdgeId) -> f64 + Sync),
 ) -> Vec<SpTree> {
-    batch_trees(sources, |s| dijkstra_tree_in(g, s, len, &FullTopology))
+    batch_trees(sources, |s| {
+        dijkstra_tree_in(g, s, len, &FullTopology, None)
+    })
 }
 
-/// [`dijkstra_trees_csr_batch`] restricted to the edges an [`EdgeView`]
-/// marks usable — the batch form of [`dijkstra_tree_csr_view`], sharing
-/// the identical tree core so masked and intact sweeps cannot drift.
-pub fn dijkstra_trees_csr_view_batch(
+/// One Dijkstra per `(source, targets)` query, each stopped as soon as
+/// its last target is settled, optionally restricted to the edges an
+/// [`EdgeView`] marks usable; fanned out like [`dijkstra_trees_csr_batch`]
+/// and returned in query order. The offline-OPT oracle runs this once per
+/// Frank–Wolfe iteration with each source's demanded targets.
+///
+/// For every listed target, `dist` and the whole parent chain are bitwise
+/// what the full tree ([`dijkstra_tree_csr`] / [`dijkstra_tree_csr_view`])
+/// holds, and an unreachable target has `dist == f64::INFINITY` (see the
+/// module docs on settle sets). Other vertices may hold tentative distances:
+/// read a returned tree only at its targets. `view == None` is the
+/// statically dispatched [`FullTopology`] sweep — no per-edge vtable
+/// call on the solver's hottest loop.
+pub fn dijkstra_trees_csr_settle_batch(
     g: &Csr,
-    sources: &[VertexId],
+    queries: &[(VertexId, Vec<VertexId>)],
     len: &(dyn Fn(EdgeId) -> f64 + Sync),
-    view: &(dyn EdgeView + Sync),
+    view: Option<&(dyn EdgeView + Sync)>,
 ) -> Vec<SpTree> {
-    batch_trees(sources, |s| dijkstra_tree_in(g, s, len, view))
+    crate::par_ordered_map(queries, BATCH_PAR_MIN_SOURCES, |(s, targets)| match view {
+        None => dijkstra_tree_in(g, *s, len, &FullTopology, Some(targets)),
+        Some(view) => dijkstra_tree_in(g, *s, len, view, Some(targets)),
+    })
 }
 
 /// Shortest path between `s` and `t` under per-edge lengths.
@@ -478,21 +537,57 @@ mod tests {
         }
     }
 
+    /// The settle-set sweep must agree with the full tree at every
+    /// target and along every target's parent chain, masked or not.
+    fn assert_settled_like_full(full: &SpTree, settled: &SpTree, targets: &[VertexId]) {
+        for &t in targets {
+            assert_eq!(full.dist_to(t).to_bits(), settled.dist_to(t).to_bits());
+            let mut cur = Some(t);
+            while let Some(v) = cur {
+                let link = full.parent.get(v as usize).copied().flatten();
+                assert_eq!(settled.parent.get(v as usize).copied().flatten(), link);
+                cur = link.map(|(p, _)| p);
+            }
+        }
+    }
+
     #[test]
-    fn batch_view_trees_match_masked_calls() {
+    fn settle_batch_matches_full_trees_at_targets() {
         let g = generators::grid(4, 4);
         let csr = g.csr();
-        let mut usable = vec![true; g.m()];
-        for e in [0usize, 7, 13] {
-            usable[e] = false;
+        let len = |e: EdgeId| 1.0 + (e % 4) as f64 * 0.25;
+        let usable: Vec<bool> = (0..g.m()).map(|e| ![0, 7, 13].contains(&e)).collect();
+        let queries: Vec<(VertexId, Vec<VertexId>)> = g
+            .vertices()
+            .map(|s| (s, vec![(s + 5) % 16, (s * 7 + 3) % 16, s]))
+            .collect();
+        let open = dijkstra_trees_csr_settle_batch(&csr, &queries, &len, None);
+        let masked = dijkstra_trees_csr_settle_batch(&csr, &queries, &len, Some(&usable));
+        for ((s, targets), (o, m)) in queries.iter().zip(open.iter().zip(&masked)) {
+            assert_settled_like_full(&dijkstra_tree_csr(&csr, *s, &len), o, targets);
+            let full = dijkstra_tree_csr_view(&csr, *s, &len, &usable);
+            assert_settled_like_full(&full, m, targets);
         }
-        let sources: Vec<VertexId> = g.vertices().collect();
-        let batch = dijkstra_trees_csr_view_batch(&csr, &sources, &|_| 1.0, &usable);
-        for (i, &s) in sources.iter().enumerate() {
-            let one = dijkstra_tree_csr_view(&csr, s, &|_| 1.0, &usable);
-            assert_eq!(batch[i].dist, one.dist, "source {s}");
-            assert_eq!(batch[i].parent, one.parent, "source {s}");
-        }
+    }
+
+    #[test]
+    fn settle_set_stops_early_and_drains_for_unreachable_targets() {
+        // Line 0-1-2-3-4 plus an isolated vertex 5.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let csr = g.csr();
+        let near = dijkstra_trees_csr_settle_batch(&csr, &[(0, vec![1])], &|_| 1.0, None);
+        assert_eq!(near.first().map(|t| t.dist_to(1)), Some(1.0));
+        assert!(
+            near.first().is_some_and(|t| t.dist_to(3).is_infinite()),
+            "stopped before 3"
+        );
+        let far = dijkstra_trees_csr_settle_batch(&csr, &[(0, vec![1, 5])], &|_| 1.0, None);
+        assert!(far.first().is_some_and(|t| t.dist_to(5).is_infinite()));
+        assert_eq!(
+            far.first().map(|t| t.dist_to(4)),
+            Some(4.0),
+            "the heap drained"
+        );
     }
 
     #[test]
